@@ -38,12 +38,6 @@ Times four access patterns on generated 500 / 2000 / 8000-sink clock trees:
   ``guard=degrade`` on a healthy 2000-sink run; the ``speedup`` column is
   ``t_off / t_degrade`` and its floor (just under 1.0x) caps the guard's
   validation + invariant-probe overhead.
-* ``flow_e2e`` — the full double-side flow end-to-end under the two flow
-  representations on one 2000-sink cloud: ``object`` (stages hop on
-  realised clock trees) vs. ``ir`` (one persistent ``DesignArrays`` threads
-  through every stage, object trees only at the boundaries).  Both paths
-  build bit-identical trees; the row gates the conversion savings the IR
-  exists for.
 
 Results are printed and written to ``BENCH_perf_timing.json`` at the repo
 root — or to ``BENCH_perf_timing.smoke.json`` in smoke mode, so quick CI
@@ -99,9 +93,6 @@ DME_EMBED_SIZES_SMOKE = (2000,)
 
 #: Sink count the guarded-flow overhead row runs on (both modes).
 GUARDED_FLOW_SINKS = 2000
-
-#: Sink count the end-to-end representation row runs on (both modes).
-FLOW_E2E_SINKS = 2000
 
 #: Sink counts the serve warm-vs-cold row runs on (cold is a full flow run
 #: per round, so smoke gates a smaller cut of the same code path).
@@ -399,7 +390,11 @@ def bench_insertion_dp(sink_count: int, pdk, corners_spec: str | None = None) ->
     nominal DP is roughly a wash between backends and is not what this row
     gates.
     """
-    routed = HierarchicalClockRouter(pdk).route(random_sink_cloud(sink_count)).tree
+    routed = (
+        HierarchicalClockRouter(pdk)
+        .route_design(random_sink_cloud(sink_count))
+        .design.to_clock_tree()
+    )
     corners = CornerSet.parse(corners_spec) if corners_spec else None
 
     def run_backend(backend: str):
@@ -522,7 +517,7 @@ def bench_guarded_flow(sink_count: int, pdk) -> dict:
     and bounded below by, the committed floor just under 1.0x) so the
     shared ``speedup >= floor`` gate caps the overhead.
     """
-    from repro.flow.config import CtsConfig
+    from repro.flow.config import BackendSelection, CtsConfig
     from repro.flow.cts import DoubleSideCTS
 
     clock_net = random_sink_cloud(sink_count)
@@ -530,7 +525,8 @@ def bench_guarded_flow(sink_count: int, pdk) -> dict:
     results: dict[str, object] = {}
     for _ in range(5):
         for policy in ("off", "degrade"):
-            flow = DoubleSideCTS(pdk, CtsConfig(guard=policy))
+            config = CtsConfig(backends=BackendSelection(guard=policy))
+            flow = DoubleSideCTS(pdk, config)
             start = time.perf_counter()
             results[policy] = flow.run(clock_net)
             samples[policy].append(time.perf_counter() - start)
@@ -555,76 +551,6 @@ def bench_guarded_flow(sink_count: int, pdk) -> dict:
         "reference_s": round(t_off, 6),
         "vectorized_s": round(t_degrade, 6),
         "speedup": round(t_off / t_degrade, 3),
-    }
-
-
-def bench_flow_e2e(sink_count: int, pdk) -> dict:
-    """Flow representations end-to-end: object-hop vs. the persistent IR.
-
-    Runs the full double-side flow on one sink cloud under
-    ``representation="object"`` (every stage realises and consumes
-    :class:`ClockTree` objects) and ``representation="ir"`` (one persistent
-    ``DesignArrays`` flows through routing, insertion, and refinement; object
-    trees exist only where a reference backend or the degrade path needs
-    them).  The stages make identical decisions either way — the IR saves
-    the object-tree realisation and re-ingestion between stages, which is
-    what this row measures and gates.  Timed in interleaved pairs, scored by
-    best-of-5 (the saving is a fixed conversion cost; minima separate it
-    from scheduler noise).
-    """
-    from repro.flow.config import BackendSelection, CtsConfig
-    from repro.flow.cts import DoubleSideCTS
-
-    clock_net = random_sink_cloud(sink_count)
-    samples: dict[str, list[float]] = {"object": [], "ir": []}
-    results: dict[str, object] = {}
-    for _ in range(5):
-        for representation in ("object", "ir"):
-            config = CtsConfig(
-                backends=BackendSelection(representation=representation)
-            )
-            flow = DoubleSideCTS(pdk, config)
-            # Drop the previous round's tree before timing so its collection
-            # (thousands of cyclic nodes) cannot land inside either timed
-            # region and contaminate the pair.
-            results[representation] = None
-            gc.collect()
-            gc.disable()
-            try:
-                start = time.perf_counter()
-                results[representation] = flow.run(clock_net)
-                samples[representation].append(time.perf_counter() - start)
-            finally:
-                gc.enable()
-    t_object, t_ir = min(samples["object"]), min(samples["ir"])
-
-    # Sanity: the two representations build bit-identical trees (the IR
-    # result realises its tree lazily here, outside the timed region).
-    def fingerprint(tree) -> list[tuple]:
-        return sorted(
-            (
-                node.name,
-                node.kind.value,
-                node.side.value,
-                node.wire_side.value,
-                node.parent.name if node.parent is not None else "",
-                node.location.x,
-                node.location.y,
-            )
-            for node in tree.nodes()
-        )
-
-    if fingerprint(results["object"].tree) != fingerprint(results["ir"].tree):
-        raise AssertionError(
-            f"flow representations diverge on {sink_count} sinks"
-        )
-
-    return {
-        "flow": "flow_e2e",
-        "sinks": sink_count,
-        "reference_s": round(t_object, 6),
-        "vectorized_s": round(t_ir, 6),
-        "speedup": round(t_object / t_ir, 3),
     }
 
 
@@ -690,7 +616,7 @@ def bench_parallel_construction(sink_count: int, pdk) -> list[dict]:
       stitched back by the deterministic graft protocol;
     * ``insertion_dp_100k`` — the frontier DP with bottom subtrees shipped
       to the pool as flat tables;
-    * ``flow_e2e_100k`` — the full persistent-IR flow end to end.
+    * ``flow_e2e_100k`` — the whole flow end to end.
 
     The parallel path is bit-identical to serial by contract
     (``tests/test_parallel_construction.py`` pins the full matrix); each row
@@ -705,7 +631,7 @@ def bench_parallel_construction(sink_count: int, pdk) -> list[dict]:
     still run the rows — exercising and sanity-checking the parallel code
     path — but report them ungated.
     """
-    from repro.flow.config import BackendSelection, CtsConfig
+    from repro.flow.config import CtsConfig
     from repro.flow.cts import DoubleSideCTS
     from repro.insertion.dp_tree import build_dp_tree
     from repro.insertion.frontier import VectorizedInsertionDp
@@ -715,7 +641,7 @@ def bench_parallel_construction(sink_count: int, pdk) -> list[dict]:
     clock_net = random_sink_cloud(sink_count)
 
     def config_for(n: int) -> CtsConfig:
-        return CtsConfig(workers=n, backends=BackendSelection(representation="ir"))
+        return CtsConfig(workers=n)
 
     def make_row(flow: str, serial_samples, parallel_samples) -> dict:
         t_serial, t_parallel = min(serial_samples), min(parallel_samples)
@@ -810,7 +736,7 @@ def bench_parallel_resilience(pdk) -> dict:
     Both runs use the pool identically, so the ratio is core-independent and
     the row gates on every host (no ``workers``/``cores`` keys).
     """
-    from repro.flow.config import BackendSelection, CtsConfig
+    from repro.flow.config import CtsConfig
     from repro.parallel import ParallelPolicy
 
     clock_net = random_sink_cloud(PARALLEL_SINKS_SMOKE)
@@ -818,11 +744,7 @@ def bench_parallel_resilience(pdk) -> dict:
     policed_policy = ParallelPolicy(attempts=3, timeout_s=600.0, backoff_s=0.05)
 
     def config_for(policy: ParallelPolicy) -> CtsConfig:
-        return CtsConfig(
-            workers=PARALLEL_WORKERS,
-            parallel_policy=policy,
-            backends=BackendSelection(representation="ir"),
-        )
+        return CtsConfig(workers=PARALLEL_WORKERS, parallel_policy=policy)
 
     samples: dict[str, list[float]] = {"plain": [], "policed": []}
     results: dict[str, object] = {}
@@ -870,7 +792,6 @@ def run_bench() -> list[dict]:
     if not smoke_mode():
         rows.append(bench_dme_embed(DME_EMBED_SIZES_FULL[0], pdk, BENCH_CORNERS))
     rows.append(bench_guarded_flow(GUARDED_FLOW_SINKS, pdk))
-    rows.append(bench_flow_e2e(FLOW_E2E_SINKS, pdk))
     rows.append(
         bench_serve_whatif(
             SERVE_WHATIF_SINKS_SMOKE if smoke_mode() else SERVE_WHATIF_SINKS_FULL,

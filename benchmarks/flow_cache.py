@@ -34,10 +34,8 @@ from repro.baselines import (
 from repro.clocktree import ClockTree
 from repro.evaluation import ClockTreeMetrics, evaluate_tree
 from repro.flow import CtsConfig, SingleSideCTS
-from repro.insertion.concurrent import ConcurrentInserter, InsertionConfig
+from repro.ir import stages
 from repro.netlist.design import Design
-from repro.refinement import SkewRefiner
-from repro.routing.hierarchical import HierarchicalClockRouter
 from repro.tech.pdk import Pdk
 
 #: Base flow keys :meth:`FlowCache.warm` can pre-compute in parallel.
@@ -60,45 +58,21 @@ def _run_ours(pdk: Pdk, design: Design, config: CtsConfig, selection: str) -> Ou
     """Hierarchical routing + concurrent insertion + skew refinement."""
     config = config.with_updates(selection=selection)
     start = time.perf_counter()
-    clock_net = design.require_clock_net()
-    router = HierarchicalClockRouter(
-        pdk,
-        high_cluster_size=config.high_cluster_size,
-        low_cluster_size=config.low_cluster_size,
-        seed=config.seed,
-    )
-    routing = router.route(clock_net)
-    inserter = ConcurrentInserter(
-        pdk,
-        InsertionConfig(
-            weights=config.moes_weights,
-            selection=config.selection,
-            max_segment_length=config.max_segment_length,
-            keep_resource_diversity=config.keep_resource_diversity,
-            max_candidates_per_side=config.max_candidates_per_side,
-            dp_backend=config.dp_backend,
-        ),
-    )
-    insertion = inserter.run(routing.tree)
-    without_sr = evaluate_tree(
-        routing.tree, pdk, design=design.name, flow="ours_no_sr"
-    )
-    SkewRefiner(
-        pdk,
-        skew_trigger_fraction=config.skew_trigger_fraction,
-        max_endpoints=config.max_refined_endpoints,
-        strategy=config.skew_strategy,
-    ).refine(routing.tree)
+    ctx = stages.StageContext.unguarded(pdk, config, design.require_clock_net())
+    routed = stages.RoutingStage().run(None, ctx)
+    routed = stages.InsertionStage().run(routed, ctx)
+    without_sr = evaluate_tree(routed, pdk, design=design.name, flow="ours_no_sr")
+    routed = stages.RefinementStage().run(routed, ctx)
     runtime = time.perf_counter() - start
     metrics = evaluate_tree(
-        routing.tree, pdk, design=design.name, flow="ours", runtime=runtime
+        routed, pdk, design=design.name, flow="ours", runtime=runtime
     )
     return OursRun(
-        tree=routing.tree,
+        tree=routed.to_clock_tree(),
         metrics=metrics,
         metrics_without_refinement=without_sr,
-        root_candidates=insertion.root_candidates,
-        selected=insertion.selected,
+        root_candidates=ctx.insertion.root_candidates,
+        selected=ctx.insertion.selected,
         runtime=runtime,
     )
 

@@ -1,25 +1,21 @@
 #!/usr/bin/env python3
 """The persistent array IR: one ``DesignArrays`` through the whole flow.
 
-Every vectorized stage backend has an IR-native entry point, so with
-``CtsConfig(backends=BackendSelection(representation="ir"))`` the flow
-threads a single struct-of-arrays design (``repro.ir.DesignArrays``)
+The flow threads a single struct-of-arrays design (``repro.ir.DesignArrays``)
 through routing, insertion, refinement, and evaluation without realising
 ``ClockTree`` objects between stages.  Object trees exist only at the
-boundaries — ``to_clock_tree()`` / ``from_clock_tree()`` — and the two
-representations are decision-identical: they build bit-equal trees.
+boundaries — ``to_clock_tree()`` / ``from_clock_tree()`` — where a stage
+running a reference (executable-spec) backend bridges through them.
 
-This script runs the same clock net under both representations, checks the
-trees are identical node-for-node, times both paths (interleaved, best of
-N — the saving is a fixed conversion cost, so minima separate it from
-scheduler noise), and shows the boundary bridges round-tripping.
+This script runs the same clock net on the default vectorized backends and
+on the all-reference spec, checks the two results are identical
+node-for-node, and shows the boundary bridges round-tripping.
 
 Usage::
 
-    python examples/array_ir_flow.py [sinks] [rounds]
+    python examples/array_ir_flow.py [sinks]
 
     sinks    sink count of the generated clock net; default 2000
-    rounds   timing rounds per representation; default 3
 """
 
 from __future__ import annotations
@@ -49,47 +45,42 @@ def fingerprint(tree) -> list[tuple]:
 
 def main() -> int:
     sinks = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
-    rounds = int(sys.argv[2]) if len(sys.argv) > 2 else 3
     pdk = asap7_backside()
     clock_net = random_sink_cloud(sinks, seed=11)
 
-    samples: dict[str, list[float]] = {"object": [], "ir": []}
-    results: dict[str, object] = {}
-    for _ in range(rounds):
-        for representation in ("object", "ir"):
-            config = CtsConfig(
-                backends=BackendSelection(representation=representation)
+    start = time.perf_counter()
+    result = DoubleSideCTS(pdk, CtsConfig()).run(clock_net)
+    elapsed = time.perf_counter() - start
+    spec = DoubleSideCTS(
+        pdk,
+        CtsConfig(
+            backends=BackendSelection(
+                timing="reference", dp="reference", dme="reference"
             )
-            flow = DoubleSideCTS(pdk, config)
-            start = time.perf_counter()
-            results[representation] = flow.run(clock_net)
-            samples[representation].append(time.perf_counter() - start)
+        ),
+    ).run(clock_net)
+    identical = fingerprint(result.tree) == fingerprint(spec.tree)
 
-    obj, ir = results["object"], results["ir"]
-    identical = fingerprint(obj.tree) == fingerprint(ir.tree)
-    t_obj, t_ir = min(samples["object"]), min(samples["ir"])
-
-    print(f"{sinks}-sink clock net, best of {rounds} rounds per path\n")
-    print(f"  object-hop flow : {t_obj * 1e3:8.1f} ms")
-    print(f"  persistent IR   : {t_ir * 1e3:8.1f} ms  ({t_obj / t_ir:.2f}x)")
-    print(f"  trees identical : {identical}")
+    print(f"{sinks}-sink clock net\n")
+    print(f"  vectorized flow      : {elapsed * 1e3:8.1f} ms")
+    print(f"  matches the ref spec : {identical}")
     print(
-        f"  metrics         : skew {ir.metrics.skew:.2f} ps, "
-        f"latency {ir.metrics.latency:.2f} ps, "
-        f"wirelength {ir.metrics.wirelength:.0f} um\n"
+        f"  metrics              : skew {result.metrics.skew:.2f} ps, "
+        f"latency {result.metrics.latency:.2f} ps, "
+        f"wirelength {result.metrics.wirelength:.0f} um\n"
     )
     if not identical:
-        raise AssertionError("representations diverged — file a bug")
+        raise AssertionError("vectorized flow diverged from the spec — file a bug")
 
-    # The boundary bridges: object tree -> arrays -> object tree.
-    design = DesignArrays.from_clock_tree(ir.tree)
+    # The flow's own design, and the boundary bridges around it.
+    design = result.design
     nodes, sink_count, buffers, ntsvs = design.counts()
-    print("DesignArrays bridged from the result tree:")
+    print("The flow's DesignArrays:")
     print(f"  {nodes} rows: {sink_count} sinks, {buffers} buffers, {ntsvs} nTSVs")
     print(f"  wirelength {design.wirelength():.0f} um (matches the metrics above)")
-    round_tripped = design.to_clock_tree()
-    same = fingerprint(round_tripped) == fingerprint(ir.tree)
-    print(f"  round-trip identical: {same}")
+    round_tripped = DesignArrays.from_clock_tree(design.to_clock_tree())
+    same = fingerprint(round_tripped.to_clock_tree()) == fingerprint(result.tree)
+    print(f"  object round-trip identical: {same}")
     return 0
 
 

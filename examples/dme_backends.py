@@ -2,7 +2,7 @@
 """DME routing backends: the scalar router vs. the level-batched arrays.
 
 The DME clock routing has two interchangeable backends behind
-``CtsConfig.dme_backend`` (mirroring the timing engines and the
+``BackendSelection.dme`` (mirroring the timing engines and the
 insertion-DP backends):
 
 * ``reference`` — the per-node scalar ``DmeRouter``, the executable spec;
@@ -30,6 +30,7 @@ import time
 
 from repro import asap7_backside
 from repro.designs import random_sink_cloud
+from repro.flow import BackendSelection, CtsConfig
 from repro.routing import DmeTerminal, HierarchicalClockRouter, create_dme_router
 from repro.routing.topology import matching_topology
 
@@ -66,9 +67,10 @@ def main() -> int:
 
     flow_timings = {}
     for backend in ("reference", "vectorized"):
-        router = HierarchicalClockRouter(pdk, dme_backend=backend)
+        config = CtsConfig(backends=BackendSelection(dme=backend))
+        router = HierarchicalClockRouter(pdk, config=config)
         start = time.perf_counter()
-        result = router.route(clock_net)
+        result = router.route_design(clock_net)
         flow_timings[backend] = time.perf_counter() - start
     print(
         f"{'hierarchical routing':>24}  {flow_timings['reference'] * 1e3:8.1f}ms"
@@ -77,7 +79,7 @@ def main() -> int:
     )
     print(
         f"\nIdentical embeddings from both backends: "
-        f"{result.tree.sink_count()} sinks, wirelength "
+        f"{int(result.design.sink_rows().size)} sinks, wirelength "
         f"{wirelengths['vectorized']:.3f} um (bit-equal across backends)."
     )
     return 0

@@ -38,7 +38,8 @@ def main() -> int:
     sinks = int(sys.argv[1]) if len(sys.argv) > 1 else 500
     pdk = asap7_backside()
     print(f"Routing a {sinks}-sink clock net ...")
-    routed = HierarchicalClockRouter(pdk).route(random_sink_cloud(sinks)).tree
+    router = HierarchicalClockRouter(pdk)
+    routed = router.route_design(random_sink_cloud(sinks)).design.to_clock_tree()
 
     configurations = [
         ("nominal, default pruning", None, False),

@@ -24,10 +24,10 @@ the array-based candidate-frontier engine (default) and the per-candidate
 object DP (the executable spec); both build identical trees.  The same
 pattern covers clock routing: ``--dme-backend {reference,vectorized}``
 switches the DME router between the level-batched array backend (default)
-and the per-node scalar router; both embed identical trees.
-``--representation {object,ir}`` selects the flow representation: ``ir``
-threads one persistent struct-of-arrays design through every stage instead
-of hopping on realised clock trees — same decisions, fewer conversions.
+and the per-node scalar router; both embed identical trees.  Every flow
+threads one persistent struct-of-arrays design
+(:class:`~repro.ir.DesignArrays`) through its stages; a ``reference``
+selection bridges just its stage through the object-tree spec.
 ``dse --workers N`` evaluates the sweep grid on ``N`` parallel processes.
 
 ``--corners SPEC`` evaluates every flow result across a PVT corner set —
@@ -66,7 +66,6 @@ from repro.evaluation import ComparisonTable, format_table
 from repro.evaluation.reporting import format_metrics, format_ratio_summary
 from repro.evaluation.reporting import format_corner_table
 from repro.flow import BackendSelection, CtsConfig, DoubleSideCTS, SingleSideCTS
-from repro.flow.config import FLOW_REPRESENTATION_CHOICE
 from repro.guard import GUARD_POLICY_NAMES
 from repro.insertion.frontier import DP_BACKEND_NAMES
 from repro.routing.dme_arrays import DME_BACKEND_NAMES
@@ -155,15 +154,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "the default)",
     )
     parser.add_argument(
-        "--representation",
-        choices=FLOW_REPRESENTATION_CHOICE.names,
-        default=None,
-        help="flow representation: 'object' (default; stages hop on "
-        "realised clock trees) or 'ir' (one persistent struct-of-arrays "
-        "design threads through every stage); both paths build "
-        "bit-identical trees",
-    )
-    parser.add_argument(
         "--debug",
         action="store_true",
         help="print full tracebacks instead of one-line error summaries",
@@ -179,8 +169,8 @@ def _add_construction_workers(parser: argparse.ArgumentParser) -> None:
         default=None,
         dest="construction_workers",
         help="process-parallel construction: route and buffer independent "
-        "top-level regions on this many workers (IR representation; "
-        "bit-identical to serial; default: REPRO_FLOW_WORKERS or 1)",
+        "top-level regions on this many workers (bit-identical to "
+        "serial; default: REPRO_FLOW_WORKERS or 1)",
     )
 
 
@@ -275,7 +265,6 @@ def _config_for(args: argparse.Namespace) -> CtsConfig:
             dp=getattr(args, "dp_backend", None),
             dme=getattr(args, "dme_backend", None),
             guard=getattr(args, "guard", None),
-            representation=getattr(args, "representation", None),
         ),
     )
 
@@ -377,8 +366,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         overrides["REPRO_DME_BACKEND"] = args.dme_backend
     if getattr(args, "guard", None):
         overrides["REPRO_GUARD"] = args.guard
-    if getattr(args, "representation", None):
-        overrides["REPRO_FLOW_REPRESENTATION"] = args.representation
     if not overrides:
         return handlers[args.command](args)
     previous = {name: os.environ.get(name) for name in overrides}

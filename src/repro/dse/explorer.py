@@ -1,15 +1,17 @@
 """The DSE flow: sweeping insertion modes to trace the Pareto frontier.
 
 The clock routing does not depend on the insertion modes, so the explorer
-routes the design once and then replays the concurrent insertion (plus skew
-refinement) on a fresh copy of the routed tree for every configuration.
+routes the design once (:meth:`~repro.routing.HierarchicalClockRouter.route_design`)
+and then runs the flow's own insertion and refinement stages
+(:mod:`repro.ir.stages`) on a fresh copy of the routed design for every
+configuration.
 
 The sweep points are independent of each other, so the grid can be evaluated
 in parallel: pass ``workers > 1`` to :meth:`DesignSpaceExplorer.explore` to
 fan the configurations out over a :class:`concurrent.futures`
-process pool (each worker re-times its own tree copy with its own vectorized
-engine).  Results are returned in threshold order regardless of completion
-order, so serial and parallel sweeps are identical.
+process pool (each worker re-times its own design copy with its own
+vectorized engine).  Results are returned in threshold order regardless of
+completion order, so serial and parallel sweeps are identical.
 
 When the configuration carries a :class:`~repro.tech.corners.CornerSet`
 (``CtsConfig.corners``), every sweep point is additionally signed off across
@@ -24,6 +26,7 @@ against it.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -36,11 +39,10 @@ from repro.dse.pareto import pareto_front
 from repro.evaluation.metrics import ClockTreeMetrics, evaluate_tree
 from repro.flow.config import CtsConfig
 from repro.flow.cts import DoubleSideCTS
-from repro.insertion.concurrent import ConcurrentInserter, InsertionConfig
+from repro.ir import stages
+from repro.ir.design import DesignArrays
 from repro.netlist.clock import ClockNet
 from repro.netlist.design import Design
-from repro.refinement.skew_refinement import SkewRefiner
-from repro.routing.hierarchical import HierarchicalClockRouter
 from repro.tech.pdk import Pdk
 
 
@@ -155,15 +157,7 @@ class DesignSpaceExplorer:
         chosen points and prove the sweep's failure isolation.
         """
         clock_net, name = DoubleSideCTS._resolve_input(design, design_name)
-        router = HierarchicalClockRouter(
-            self.pdk,
-            high_cluster_size=self.config.high_cluster_size,
-            low_cluster_size=self.config.low_cluster_size,
-            seed=self.config.seed,
-            hierarchical=self.config.hierarchical_routing,
-            dme_backend=self.config.dme_backend,
-        )
-        routing = router.route(clock_net)
+        routed = stages.build_router(self.pdk, self.config).route_design(clock_net)
         thresholds = [int(t) for t in fanout_thresholds]
         result = DseResult(design_name=name)
         # One task per threshold on the fault-tolerant pool tier: a crashed
@@ -172,7 +166,7 @@ class DesignSpaceExplorer:
         from repro.parallel import run_tasks
 
         payloads = [
-            (self.pdk, self.config, routing.tree, t, name, point_hook)
+            (self.pdk, self.config, clock_net, routed.design, t, name, point_hook)
             for t in thresholds
         ]
         outcomes = run_tasks(
@@ -182,7 +176,7 @@ class DesignSpaceExplorer:
             min(workers, len(thresholds)),
             policy=self.config.resolved_parallel_policy(),
             diagnostics=result.parallel_diagnostics,
-            label=lambda i, payload: f"threshold {payload[3]}",
+            label=lambda i, payload: f"threshold {payload[4]}",
         )
         for outcome in outcomes:
             if isinstance(outcome, DseFailure):
@@ -190,9 +184,6 @@ class DesignSpaceExplorer:
             else:
                 result.points.append(outcome)
         return result
-
-    def _insert_and_refine(self, tree: ClockTree, fanout_threshold: int | None) -> None:
-        _insert_and_refine(self.pdk, self.config, tree, fanout_threshold)
 
     # -------------------------------------------------------------- baselines
     def sweep_fanout_baseline(
@@ -246,58 +237,37 @@ class DesignSpaceExplorer:
 
 
 # Module-level so a ProcessPoolExecutor can pickle the sweep work items.
-def _insert_and_refine(
-    pdk: Pdk, config: CtsConfig, tree: ClockTree, fanout_threshold: int | None
-) -> None:
-    inserter = ConcurrentInserter(
-        pdk,
-        InsertionConfig(
-            weights=config.moes_weights,
-            selection=config.selection,
-            max_segment_length=config.max_segment_length,
-            keep_resource_diversity=config.keep_resource_diversity,
-            max_candidates_per_side=config.max_candidates_per_side,
-            default_mode=config.default_mode,
-            dp_backend=config.dp_backend,
-        ),
-        engine=config.timing_engine,
-        corners=config.construction_corners(),
-    )
-    inserter.run(tree, fanout_threshold=fanout_threshold)
-    if config.enable_skew_refinement:
-        SkewRefiner(
-            pdk,
-            skew_trigger_fraction=config.skew_trigger_fraction,
-            max_endpoints=config.max_refined_endpoints,
-            strategy=config.skew_strategy,
-            engine=config.timing_engine,
-            corners=config.construction_corners(),
-            nominal_skew_budget=config.nominal_skew_budget,
-        ).refine(tree)
-
-
 def _attempt_point(
     pdk: Pdk,
     config: CtsConfig,
-    routed_tree: ClockTree,
+    clock_net: ClockNet,
+    routed: DesignArrays,
     threshold: int,
     name: str,
     point_hook: Callable[[CtsConfig, int], None] | None,
 ) -> DsePoint:
-    """Evaluate one fanout-threshold configuration on a fresh tree copy."""
+    """Evaluate one fanout-threshold configuration on a fresh design copy.
+
+    The point runs the flow's own insertion and refinement stages, unguarded
+    and serial inside the point (``workers=1``, so a pool sweep never nests
+    pools), then scores the design like the flow's evaluation stage.
+    """
     if point_hook is not None:
         point_hook(config, threshold)
+    config = config.with_updates(fanout_threshold=threshold, workers=1)
+    ctx = stages.StageContext.unguarded(pdk, config, clock_net)
     start = time.perf_counter()
-    tree = routed_tree.copy()
-    _insert_and_refine(pdk, config, tree, fanout_threshold=threshold)
+    design = stages.InsertionStage().run(copy.deepcopy(routed), ctx)
+    if config.enable_skew_refinement:
+        design = stages.RefinementStage().run(design, ctx)
     runtime = time.perf_counter() - start
     metrics = evaluate_tree(
-        tree,
+        design,
         pdk,
         design=name,
         flow=f"ours_dse_fo{threshold}",
         runtime=runtime,
-        engine=config.timing_engine,
+        engine=ctx.backends.timing,
         corners=config.corners,
     )
     return DsePoint(
@@ -308,7 +278,8 @@ def _attempt_point(
 def _explore_point(
     pdk: Pdk,
     config: CtsConfig,
-    routed_tree: ClockTree,
+    clock_net: ClockNet,
+    routed: DesignArrays,
     threshold: int,
     name: str,
     point_hook: Callable[[CtsConfig, int], None] | None = None,
@@ -320,18 +291,12 @@ def _explore_point(
     both ways is reported as a :class:`DseFailure` instead of raising, so the
     rest of the sweep survives.
     """
+    args = (clock_net, routed, threshold, name, point_hook)
     try:
-        return _attempt_point(pdk, config, routed_tree, threshold, name, point_hook)
+        return _attempt_point(pdk, config, *args)
     except Exception as first:  # noqa: BLE001 - isolate sweep points
-        fallback = config.with_updates(
-            timing_engine="reference",
-            dp_backend="reference",
-            dme_backend="reference",
-        )
         try:
-            point = _attempt_point(
-                pdk, fallback, routed_tree, threshold, name, point_hook
-            )
+            point = _attempt_point(pdk, stages.reference_config(config), *args)
         except Exception as second:  # noqa: BLE001 - both attempts failed
             return DseFailure(
                 configuration="ours_dse",

@@ -23,19 +23,16 @@ from typing import Iterable
 
 from repro.clocktree import ClockTree
 from repro.evaluation.metrics import ClockTreeMetrics, evaluate_tree
-from repro.flow.config import CtsConfig, ResolvedBackends
+from repro.flow.config import CtsConfig
 from repro.guard.faults import StageFault
 from repro.guard.policy import StageGuard, GuardDiagnostic
-from repro.guard.validation import insertion_anomaly, metrics_anomaly
 from repro.insertion.concurrent import InsertionResult
+from repro.ir import stages
 from repro.ir.design import DesignArrays
 from repro.netlist.clock import ClockNet
 from repro.netlist.design import Design
 from repro.refinement.skew_refinement import SkewRefinementReport
-from repro.routing.hierarchical import (
-    DesignRoutingResult,
-    HierarchicalRoutingResult,
-)
+from repro.routing.hierarchical import DesignRoutingResult
 from repro.tech.pdk import Pdk
 
 
@@ -43,33 +40,29 @@ from repro.tech.pdk import Pdk
 class CtsRunResult:
     """Everything a flow run produces.
 
-    An IR-native run (``CtsConfig.backends.representation == "ir"``) stores
-    the persistent :class:`DesignArrays` design in :attr:`design`; the
-    object :attr:`tree` is realised lazily on first access, outside the
-    timed flow region.  Object-hop runs store the tree directly and leave
-    :attr:`design` None.
+    The flow's persistent :class:`DesignArrays` design is :attr:`design`;
+    the object :attr:`tree` is realised lazily on first access, outside the
+    timed flow region.
     """
 
     design_name: str
     flow_name: str
-    routing: "HierarchicalRoutingResult | DesignRoutingResult"
+    routing: DesignRoutingResult
     insertion: InsertionResult
     skew_report: SkewRefinementReport | None
     metrics: ClockTreeMetrics
     runtime: float
+    design: DesignArrays
     guard_policy: str = "off"
     guard_diagnostics: list[GuardDiagnostic] = field(default_factory=list)
     parallel_tasks: int = 0
     parallel_diagnostics: list = field(default_factory=list)
-    design: DesignArrays | None = None
     _tree: ClockTree | None = field(default=None, repr=False)
 
     @property
     def tree(self) -> ClockTree:
-        """The synthesised clock tree (realised lazily for IR-native runs)."""
+        """The synthesised clock tree (realised lazily from :attr:`design`)."""
         if self._tree is None:
-            if self.design is None:
-                raise ValueError("flow result carries neither a tree nor a design")
             self._tree = self.design.to_clock_tree()
         return self._tree
 
@@ -114,22 +107,6 @@ class CtsRunResult:
         return self.metrics.as_row()
 
 
-def _collect_parallel(*results) -> tuple[int, list]:
-    """Sum pool task counts and concatenate diagnostics across stage results.
-
-    Stage results that predate the fault-tolerant tier (e.g. the object-path
-    :class:`HierarchicalRoutingResult`) simply contribute nothing.
-    """
-    tasks = 0
-    diagnostics: list = []
-    for result in results:
-        if result is None:
-            continue
-        tasks += getattr(result, "parallel_tasks", 0)
-        diagnostics.extend(getattr(result, "parallel_diagnostics", ()))
-    return tasks, diagnostics
-
-
 class DoubleSideCTS:
     """The paper's systematic double-side CTS flow."""
 
@@ -156,20 +133,48 @@ class DoubleSideCTS:
     def run(self, design: Design | ClockNet, design_name: str | None = None) -> CtsRunResult:
         """Synthesise the clock tree of ``design`` and return the run result.
 
-        The flow representation is selected by the resolved backends
-        (``CtsConfig.backends.representation`` / ``REPRO_FLOW_REPRESENTATION``):
-        ``"object"`` hops between stages on :class:`ClockTree` objects,
-        ``"ir"`` threads one persistent :class:`DesignArrays` design through
-        the :mod:`repro.ir.stages` pipeline.  The two paths are
-        decision-identical (bit-equal tree fingerprints).
+        One persistent :class:`DesignArrays` design threads through the
+        :mod:`repro.ir.stages` pipeline: routing, insertion, optional skew
+        refinement, evaluation.
         """
         clock_net, name = self._resolve_input(design, design_name)
         backends = self.config.resolved_backends()
         guard = StageGuard(backends.guard, clock_net, faults=self.guard_faults)
         guard.validate_inputs(self.pdk, corners=self.config.corners)
-        if backends.representation == "ir":
-            return self._run_ir(clock_net, name, guard, backends)
-        return self._run_object(clock_net, name, guard, backends)
+        ctx = stages.StageContext(
+            pdk=self.pdk,
+            config=self.config,
+            backends=backends,
+            guard=guard,
+            clock_net=clock_net,
+            design_name=name,
+            flow_name=self.flow_name,
+        )
+        start = time.perf_counter()
+        arrays = stages.RoutingStage().run(None, ctx)
+        arrays = stages.InsertionStage().run(arrays, ctx)
+        if self.config.enable_skew_refinement:
+            arrays = stages.RefinementStage().run(arrays, ctx)
+        ctx.runtime = time.perf_counter() - start
+        arrays.validate()
+        arrays = stages.EvaluationStage().run(arrays, ctx)
+        return CtsRunResult(
+            design_name=name,
+            flow_name=self.flow_name,
+            routing=ctx.routing,
+            insertion=ctx.insertion,
+            skew_report=ctx.skew_report,
+            metrics=ctx.metrics,
+            runtime=ctx.runtime,
+            design=arrays,
+            guard_policy=guard.policy,
+            guard_diagnostics=guard.diagnostics,
+            parallel_tasks=ctx.routing.parallel_tasks + ctx.insertion.parallel_tasks,
+            parallel_diagnostics=[
+                *ctx.routing.parallel_diagnostics,
+                *ctx.insertion.parallel_diagnostics,
+            ],
+        )
 
     def evaluate_design(
         self,
@@ -199,189 +204,6 @@ class DoubleSideCTS:
             engine=timing,
             corners=self.config.corners,
             timing_engine=timing_engine,
-        )
-
-    # -------------------------------------------------------------- IR path
-    def _run_ir(
-        self,
-        clock_net: ClockNet,
-        name: str,
-        guard: StageGuard,
-        backends: ResolvedBackends,
-    ) -> CtsRunResult:
-        from repro.ir import stages
-
-        ctx = stages.StageContext(
-            pdk=self.pdk,
-            config=self.config,
-            backends=backends,
-            guard=guard,
-            clock_net=clock_net,
-            design_name=name,
-            flow_name=self.flow_name,
-        )
-        start = time.perf_counter()
-        design = stages.RoutingStage().run(None, ctx)
-        design = stages.InsertionStage().run(design, ctx)
-        if self.config.enable_skew_refinement:
-            design = stages.RefinementStage().run(design, ctx)
-        ctx.runtime = time.perf_counter() - start
-        design.validate()
-        design = stages.EvaluationStage().run(design, ctx)
-        parallel_tasks, parallel_diagnostics = _collect_parallel(
-            ctx.routing, ctx.insertion
-        )
-        return CtsRunResult(
-            design_name=name,
-            flow_name=self.flow_name,
-            routing=ctx.routing,
-            insertion=ctx.insertion,
-            skew_report=ctx.skew_report,
-            metrics=ctx.metrics,
-            runtime=ctx.runtime,
-            guard_policy=guard.policy,
-            guard_diagnostics=guard.diagnostics,
-            parallel_tasks=parallel_tasks,
-            parallel_diagnostics=parallel_diagnostics,
-            design=design,
-        )
-
-    # ---------------------------------------------------------- object path
-    def _run_object(
-        self,
-        clock_net: ClockNet,
-        name: str,
-        guard: StageGuard,
-        backends: ResolvedBackends,
-    ) -> CtsRunResult:
-        start = time.perf_counter()
-
-        routing = self._route(clock_net)
-        guard.inject("routing", routing.tree)
-        routing_degraded = guard.check("routing", routing.tree)
-        if routing_degraded:
-            routing = self._route(clock_net, reference=True)
-            guard.confirm("routing", routing.tree)
-        tree = routing.tree
-
-        # Degrading a mutating stage needs the pristine pre-stage tree back.
-        # Rather than defensively copying before every stage (a real cost on
-        # every healthy run), the degrade path *replays* the earlier stages:
-        # the reference backends are decision-identical to the vectorized
-        # ones, so the replay reproduces the pre-stage tree exactly, and
-        # injected faults are re-applied unless their stage already degraded
-        # past them.
-        def replay_routing() -> ClockTree:
-            replayed = self._route(clock_net, reference=True)
-            if not routing_degraded:
-                guard.inject("routing", replayed.tree)
-            return replayed.tree
-
-        insertion = self._insert(tree)
-        guard.inject("insertion", tree)
-        insertion_degraded = guard.check(
-            "insertion", tree, extra=lambda: insertion_anomaly(insertion)
-        )
-        if insertion_degraded:
-            tree = replay_routing()
-            insertion = self._insert(tree, reference=True)
-            guard.confirm(
-                "insertion", tree, extra=lambda: insertion_anomaly(insertion)
-            )
-            routing.tree = tree
-
-        def replay_insertion() -> ClockTree:
-            replayed = replay_routing()
-            self._insert(replayed, reference=True)
-            if not insertion_degraded:
-                guard.inject("insertion", replayed)
-            return replayed
-
-        skew_report = None
-        if self.config.enable_skew_refinement:
-            skew_report = self._refine(tree)
-            guard.inject("refinement", tree)
-            if guard.check("refinement", tree):
-                tree = replay_insertion()
-                skew_report = self._refine(tree, reference=True)
-                guard.confirm("refinement", tree)
-                routing.tree = tree
-
-        runtime = time.perf_counter() - start
-        tree.validate()
-        metrics = self._evaluate(tree, name, runtime)
-        # Evaluation does not mutate the tree (the refinement check just
-        # probed it), so this check is metrics-only.
-        if guard.check("evaluation", None, extra=lambda: metrics_anomaly(metrics)):
-            metrics = self._evaluate(tree, name, runtime, reference=True)
-            guard.confirm(
-                "evaluation", None, extra=lambda: metrics_anomaly(metrics)
-            )
-        parallel_tasks, parallel_diagnostics = _collect_parallel(
-            routing, insertion
-        )
-        return CtsRunResult(
-            design_name=name,
-            flow_name=self.flow_name,
-            routing=routing,
-            insertion=insertion,
-            skew_report=skew_report,
-            metrics=metrics,
-            runtime=runtime,
-            guard_policy=guard.policy,
-            guard_diagnostics=guard.diagnostics,
-            parallel_tasks=parallel_tasks,
-            parallel_diagnostics=parallel_diagnostics,
-            _tree=tree,
-        )
-
-    # ------------------------------------------------------------------ steps
-    # Stage engines come from the construction points shared with the
-    # IR-native pipeline (repro.ir.stages), so the two paths cannot drift.
-    def _route(
-        self, clock_net: ClockNet, reference: bool = False
-    ) -> HierarchicalRoutingResult:
-        from repro.ir.stages import build_router, reference_config
-
-        config = reference_config(self.config) if reference else self.config
-        return build_router(self.pdk, config).route(clock_net)
-
-    def _insert(self, tree: ClockTree, reference: bool = False) -> InsertionResult:
-        from repro.ir.stages import build_inserter
-
-        backends = self.config.resolved_backends()
-        inserter = build_inserter(
-            self.pdk,
-            self.config,
-            timing="reference" if reference else backends.timing,
-            dp="reference" if reference else backends.dp,
-        )
-        return inserter.run(tree, fanout_threshold=self.config.fanout_threshold)
-
-    def _refine(
-        self, tree: ClockTree, reference: bool = False
-    ) -> SkewRefinementReport:
-        from repro.ir.stages import build_refiner
-
-        timing = (
-            "reference" if reference else self.config.resolved_backends().timing
-        )
-        return build_refiner(self.pdk, self.config, timing).refine(tree)
-
-    def _evaluate(
-        self, tree: ClockTree, name: str, runtime: float, reference: bool = False
-    ) -> ClockTreeMetrics:
-        timing = (
-            "reference" if reference else self.config.resolved_backends().timing
-        )
-        return evaluate_tree(
-            tree,
-            self.pdk,
-            design=name,
-            flow=self.flow_name,
-            runtime=runtime,
-            engine=timing,
-            corners=self.config.corners,
         )
 
     # ------------------------------------------------------------------ input

@@ -62,9 +62,8 @@ class StageFault:
 
     ``stage`` is one of the guarded stage names (``"routing"``,
     ``"insertion"``, ``"refinement"``); ``inject`` is a module-level callable
-    taking the live :class:`ClockTree` or :class:`DesignArrays`.  Every
-    injector here handles both representations, so the same fault matrix
-    exercises the object-hop and the IR-native flow paths.
+    taking the live :class:`DesignArrays` (or a :class:`ClockTree`, for
+    direct unit checks against the object spec).
     """
 
     stage: str
@@ -403,10 +402,8 @@ class SweepCrash:
     def __call__(self, config: "CtsConfig", threshold: int) -> None:
         if threshold != self.threshold:
             return
-        if self.only_fast and (
-            config.timing_engine == "reference"
-            and config.dp_backend == "reference"
-            and config.dme_backend == "reference"
-        ):
+        backends = config.resolved_backends()
+        all_reference = backends.timing == backends.dp == backends.dme == "reference"
+        if self.only_fast and all_reference:
             return
         raise RuntimeError(f"injected sweep crash at threshold {threshold}")

@@ -35,7 +35,7 @@ production ``vectorized`` backend (struct-of-arrays candidate frontiers,
 broadcast merges, batched pattern costs, vectorized pruning) which builds an
 identical tree several-fold faster — close to corner-count-independent for
 corner-aware runs.  Select per inserter (``dp_backend=``), per config
-(``InsertionConfig.dp_backend`` / ``CtsConfig.dp_backend``), from the CLI
+(``InsertionConfig.dp_backend`` / ``BackendSelection.dp``), from the CLI
 (``dscts --dp-backend``), or globally via ``REPRO_DP_BACKEND``; the default
 is ``vectorized``.
 """

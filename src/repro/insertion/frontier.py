@@ -18,7 +18,7 @@ candidate set lives in a :class:`CandidateFrontier` struct-of-arrays, so
   vector-dominance test for corner batches).
 
 Backends are selected through ``InsertionConfig.dp_backend`` /
-``CtsConfig.dp_backend`` / ``dscts --dp-backend`` / the ``REPRO_DP_BACKEND``
+``BackendSelection.dp`` / ``dscts --dp-backend`` / the ``REPRO_DP_BACKEND``
 environment variable, defaulting to ``vectorized``.
 
 Both backends are kept *decision-identical*: candidate values are computed

@@ -1,4 +1,4 @@
-"""The stage pipeline of the IR-native flow.
+"""The stage pipeline of the CTS flow.
 
 Every construction stage here has one shape: a
 :class:`~repro.ir.design.DesignArrays` design (plus the
@@ -16,13 +16,14 @@ appear only at sanctioned boundaries:
 
 Both bridges are exact: the reference and vectorized backends are
 decision-identical, and ``to_clock_tree()`` / ``from_clock_tree()`` are
-lossless, so the IR flow makes bit-for-bit the decisions the object-hop
-flow makes (``tests/test_ir_flow.py`` pins this across the backend matrix).
+lossless, so the vectorized flow makes bit-for-bit the decisions of the
+all-reference spec (``tests/test_ir_flow.py`` pins this across the backend
+matrix).
 
-The stage objects also centralise *construction*: :func:`build_router`,
+The module also centralises *construction*: :func:`build_router`,
 :func:`build_inserter`, and :func:`build_refiner` are the single place a
-stage engine is instantiated from a config, shared with the object-hop
-flow in :mod:`repro.flow.cts` so the two paths cannot drift.
+stage engine is instantiated from a config, shared with the DSE sweep
+(:mod:`repro.dse.explorer`) so the two cannot drift.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ def build_refiner(pdk: "Pdk", config: "CtsConfig", timing: str) -> SkewRefiner:
 def reference_config(config: "CtsConfig") -> "CtsConfig":
     """``config`` with every construction backend forced to the reference.
 
-    Guard and representation selections are preserved; only the three
-    backend axes the degrade path re-runs are overridden.
+    The guard selection is preserved; only the three backend axes the
+    degrade path re-runs are overridden.
     """
     from dataclasses import replace
 
@@ -131,6 +132,21 @@ class StageContext:
     skew_report: "SkewRefinementReport | None" = None
     metrics: "ClockTreeMetrics | None" = None
 
+    @classmethod
+    def unguarded(
+        cls, pdk: "Pdk", config: "CtsConfig", clock_net: "ClockNet"
+    ) -> "StageContext":
+        """A context for running stages outside the flow (guard ``off``)."""
+        from repro.guard.policy import StageGuard
+
+        return cls(
+            pdk=pdk,
+            config=config,
+            backends=config.resolved_backends(),
+            guard=StageGuard("off", clock_net),
+            clock_net=clock_net,
+        )
+
 
 class Stage:
     """One guarded flow stage: design in, design out.
@@ -139,7 +155,7 @@ class Stage:
     pre-stage design (``degrade`` policy only — healthy runs never copy),
     execute, apply injected faults, check, and on an anomaly restore the
     snapshot and re-run this one stage on the reference backends.  The
-    degraded stage is never re-faulted, mirroring the object-hop flow.
+    degraded stage is never re-faulted.
     """
 
     name = "stage"

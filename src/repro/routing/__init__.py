@@ -10,11 +10,11 @@ Implements Section III-B of the paper:
 * :mod:`repro.routing.dme_arrays` — the level-batched array DME backend
   (decision-identical to the scalar router) plus the shared
   :func:`~repro.routing.dme_arrays.create_dme_router` factory through which
-  flow code selects backends (``CtsConfig.dme_backend`` / ``--dme-backend``
-  / ``REPRO_DME_BACKEND``).
+  flow code selects backends (``BackendSelection.dme`` via
+  ``CtsConfig.backends`` / ``--dme-backend`` / ``REPRO_DME_BACKEND``).
 * :mod:`repro.routing.hierarchical` — the paper's hierarchical clock routing:
   dual-level clustering + per-cluster DME + top-level DME, producing the
-  initial (unbuffered) :class:`~repro.clocktree.ClockTree`.
+  initial (unbuffered) :class:`~repro.ir.DesignArrays` design.
 """
 
 from repro.routing.topology import TopologyNode, matching_topology, balanced_bipartition_topology
@@ -27,7 +27,7 @@ from repro.routing.dme_arrays import (
     default_dme_backend,
     resolve_dme_backend,
 )
-from repro.routing.hierarchical import HierarchicalClockRouter, HierarchicalRoutingResult
+from repro.routing.hierarchical import DesignRoutingResult, HierarchicalClockRouter
 
 __all__ = [
     "TopologyNode",
@@ -42,6 +42,6 @@ __all__ = [
     "create_dme_router",
     "default_dme_backend",
     "resolve_dme_backend",
+    "DesignRoutingResult",
     "HierarchicalClockRouter",
-    "HierarchicalRoutingResult",
 ]

@@ -56,6 +56,11 @@ KNOWN_OPS: tuple[str, ...] = (
     "shutdown",
 )
 
+#: Longest request line (bytes, newline included) the TCP front reads.  Well
+#: above an inline 100k-sink ``build``; a longer line gets a
+#: :func:`too_large_reply` instead of a dropped connection.
+MAX_REQUEST_BYTES = 16 * 1024 * 1024
+
 #: What-if edit kinds the session applies (``rewire`` aliases ``retarget``).
 EDIT_KINDS: tuple[str, ...] = ("insert_buffer", "retarget", "rewire")
 
@@ -116,6 +121,22 @@ def error_reply(request_id: Any, exc: BaseException) -> dict[str, Any]:
             stage=exc.stage, task=exc.task, attempts=exc.attempts, cause=exc.cause
         )
     return {"id": request_id, "ok": False, "error": error}
+
+
+def too_large_reply(limit: int) -> dict[str, Any]:
+    """The error reply for a request line over ``limit`` bytes.
+
+    The line was never parsed, so the reply carries no request ``id``.
+    """
+    return {
+        "id": None,
+        "ok": False,
+        "error": {
+            "type": "request_too_large",
+            "message": f"request line exceeds {limit} bytes",
+            "limit": limit,
+        },
+    }
 
 
 def encode_reply(reply: dict[str, Any]) -> str:

@@ -34,11 +34,13 @@ from repro.geometry import Point
 from repro.guard.validation import design_cache_key
 from repro.netlist.clock import ClockNet, ClockSink, ClockSource
 from repro.serve.protocol import (
+    MAX_REQUEST_BYTES,
     ProtocolError,
     decode_request,
     encode_reply,
     error_reply,
     ok_reply,
+    too_large_reply,
 )
 from repro.serve.session import SessionCache, build_session
 from repro.tech.corners import CornerSet
@@ -66,6 +68,29 @@ def _inline_net(spec: dict[str, Any]) -> ClockNet:
         return ClockNet(str(spec.get("name", "inline")), source, sinks)
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"bad inline design spec: {exc}") from None
+
+
+async def _read_request(reader: asyncio.StreamReader) -> bytes | None:
+    """The next request line: ``b""`` at end of stream, ``None`` if too long.
+
+    An over-limit line is consumed through its newline (or to the end of
+    the stream) so the next read starts at the next request.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        return exc.partial
+    except asyncio.LimitOverrunError as exc:
+        consumed = exc.consumed
+    while True:
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as exc:
+            consumed = exc.consumed
 
 
 class CtsServer:
@@ -146,12 +171,12 @@ class CtsServer:
     def _op_build(self, request: dict[str, Any]) -> dict[str, Any]:
         net, name = self._resolve_net(request)
         config = self._request_config(request)
-        key = design_cache_key(net, self.pdk, config.for_session().corners)
+        key = design_cache_key(net, self.pdk, config.corners)
         session = self.sessions.get(key)
         cached = session is not None
         evicted: list[str] = []
         if session is None:
-            session = build_session(self.pdk, net, config, design_name=name)
+            session = build_session(self.pdk, net, config, design_name=name, key=key)
             evicted = self.sessions.put(session)
         run = session.run
         result: dict[str, Any] = {
@@ -192,7 +217,10 @@ class CtsServer:
         """Accept newline-delimited JSON clients until a shutdown request.
 
         Requests run on a bounded worker pool so a long flow build neither
-        blocks the event loop nor admits unbounded concurrent CPU work.
+        blocks the event loop nor admits unbounded concurrent CPU work.  A
+        request line longer than :data:`MAX_REQUEST_BYTES` is skipped and
+        answered with a ``request_too_large`` error reply; the connection
+        stays open for the next line.
         """
         loop = asyncio.get_running_loop()
         executor = ThreadPoolExecutor(
@@ -204,15 +232,19 @@ class CtsServer:
         ) -> None:
             try:
                 while True:
-                    line = await reader.readline()
-                    if not line:
+                    line = await _read_request(reader)
+                    if line is None:
+                        reply = encode_reply(too_large_reply(MAX_REQUEST_BYTES))
+                    elif not line:
                         break
-                    text = line.decode("utf-8", errors="replace")
-                    if not text.strip():
+                    elif not line.strip():
                         continue
-                    reply = await loop.run_in_executor(
-                        executor, self.handle_line, text
-                    )
+                    else:
+                        reply = await loop.run_in_executor(
+                            executor,
+                            self.handle_line,
+                            line.decode("utf-8", errors="replace"),
+                        )
                     writer.write(reply.encode("utf-8") + b"\n")
                     await writer.drain()
                     if self._shutdown.is_set():
@@ -222,7 +254,9 @@ class CtsServer:
                 with contextlib.suppress(Exception):
                     await writer.wait_closed()
 
-        server = await asyncio.start_server(handle, host, port)
+        server = await asyncio.start_server(
+            handle, host, port, limit=MAX_REQUEST_BYTES
+        )
         bound = server.sockets[0].getsockname()
         # Single discovery line clients (and the smoke test) wait for.
         print(f"serving on {bound[0]}:{bound[1]}", flush=True)

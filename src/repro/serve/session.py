@@ -175,11 +175,6 @@ class DesignSession:
         config: CtsConfig,
         run: CtsRunResult,
     ) -> None:
-        if run.design is None:
-            raise ValueError(
-                "a serve session needs an IR flow result carrying its design "
-                "(build with CtsConfig.for_session())"
-            )
         self.key = key
         self.pdk = pdk
         self.config = config
@@ -297,12 +292,19 @@ def build_session(
     clock_net: ClockNet,
     config: CtsConfig | None = None,
     design_name: str | None = None,
+    key: str | None = None,
 ) -> DesignSession:
-    """Run the flow once and wrap the result as a cacheable session."""
-    session_config = (config or CtsConfig()).for_session()
-    key = design_cache_key(clock_net, pdk, session_config.corners)
-    run = DoubleSideCTS(pdk, session_config).run(clock_net, design_name)
-    return DesignSession(key, pdk, session_config, run)
+    """Run the flow once and wrap the result as a cacheable session.
+
+    ``key`` is the session's :func:`design_cache_key` when the caller has
+    already hashed the net (the serve ``build`` op looks the key up in the
+    cache first); ``None`` hashes it here.
+    """
+    config = config or CtsConfig()
+    if key is None:
+        key = design_cache_key(clock_net, pdk, config.corners)
+    run = DoubleSideCTS(pdk, config).run(clock_net, design_name)
+    return DesignSession(key, pdk, config, run)
 
 
 def one_shot_reply(
@@ -319,8 +321,8 @@ def one_shot_reply(
     Builds the design from scratch (a full ``dscts run``-equivalent flow),
     replays the session's ``committed`` edits and then the query ``edits``,
     and evaluates on a fresh engine.  The executable spec the warm path's
-    byte-identity is pinned against — any representation (``object`` or
-    ``ir``) and any worker count must land on these exact bytes.
+    byte-identity is pinned against — any worker count must land on these
+    exact bytes.
     """
     session = build_session(pdk, clock_net, config, design_name)
     for edit in committed:

@@ -4,7 +4,7 @@ Every flow component that needs timing (skew refinement, concurrent
 insertion, evaluation, DSE, baselines) obtains its engine through
 :func:`create_engine` so that the whole library can be switched between the
 vectorized production kernel and the reference implementation — per call
-site, per flow (``CtsConfig.timing_engine``), from the CLI (``--engine``),
+site, per flow (``BackendSelection.timing``), from the CLI (``--engine``),
 or globally via the ``REPRO_TIMING_ENGINE`` environment variable (useful for
 differential debugging of a whole benchmark run).
 

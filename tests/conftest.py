@@ -24,6 +24,7 @@ if os.environ.get("REPRO_HANG_DEBUG") and hasattr(signal, "SIGUSR1"):
 
     faulthandler.register(signal.SIGUSR1, file=sys.__stderr__, all_threads=True)
 
+from repro.clocktree import ClockTree
 from repro.designs import PlacementGenerator, PlacementSpec, random_sink_cloud
 from repro.flow import CtsConfig, DoubleSideCTS, SingleSideCTS
 from repro.geometry import Point, Rect
@@ -76,6 +77,14 @@ def make_random_clock_net(
     return random_sink_cloud(count, extent=extent, seed=seed, capacitance=capacitance)
 
 
+def route_tree(pdk, clock_net: ClockNet, **config_kwargs) -> ClockTree:
+    """Route ``clock_net`` under ``CtsConfig(**config_kwargs)`` and realise
+    the unbuffered design as an object tree (the input of the object-spec
+    insertion and refinement tests)."""
+    router = HierarchicalClockRouter(pdk, config=CtsConfig(**config_kwargs))
+    return router.route_design(clock_net).design.to_clock_tree()
+
+
 @pytest.fixture(scope="session")
 def grid_clock_net() -> ClockNet:
     return make_grid_clock_net()
@@ -109,12 +118,6 @@ def small_design(small_spec):
 def small_config() -> CtsConfig:
     """A CTS configuration scaled to the small unit-test designs."""
     return CtsConfig(high_cluster_size=400, low_cluster_size=30, seed=7)
-
-
-@pytest.fixture()
-def routed_tree(pdk, random_clock_net, small_config):
-    """A freshly routed (unbuffered) clock tree over the random sink cloud."""
-    return HierarchicalClockRouter(pdk, config=small_config).route(random_clock_net)
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,8 @@ executable specs.  This module is the shared machinery for proving that:
   hypothesis-generated design inputs shared by the differential suites,
 * :func:`run_flow` / :func:`route_embedding` — run the full CTS flow (or a
   single DME embedding) under an explicit backend combination,
+* :func:`assert_matches_reference_spec` — the flow under one combination
+  against the all-reference executable spec, bit for bit,
 * :func:`assert_embeddings_identical` / :func:`clock_tree_fingerprint` /
   :func:`assert_clock_trees_identical` — structural-identity assertions
   (node-for-node names, parents, kinds, sides, and coordinates).
@@ -29,6 +31,7 @@ from itertools import product
 from hypothesis import strategies as st
 
 from repro.clocktree import ClockTree
+from repro.evaluation.metrics import evaluate_tree
 from repro.flow import BackendSelection, CtsConfig, DoubleSideCTS
 from repro.flow.cts import CtsRunResult
 from repro.geometry import Point
@@ -155,60 +158,58 @@ def run_flow(
     clock_net: ClockNet,
     combo: dict | None = None,
     corners=None,
-    representation: str | None = None,
     **config_kwargs,
 ) -> CtsRunResult:
     """Run the double-side CTS flow under one backend combination.
 
-    ``combo`` is an axis dict from :func:`backend_matrix`;
-    ``representation`` selects the flow path (``"object"`` / ``"ir"``).
-    Cluster sizes are scaled down so the harness stays fast on unit-test
-    nets.
+    ``combo`` is an axis dict from :func:`backend_matrix`.  Cluster sizes
+    are scaled down so the harness stays fast on unit-test nets.
     """
     config = CtsConfig(
         high_cluster_size=40,
         low_cluster_size=6,
         seed=7,
         corners=corners,
-        backends=BackendSelection(**(combo or {}), representation=representation),
+        backends=BackendSelection(**(combo or {})),
         **config_kwargs,
     )
     return DoubleSideCTS(pdk, config).run(clock_net)
 
 
-def assert_representations_identical(
+#: The executable spec: every two-engine axis on its reference backend.
+ALL_REFERENCE = {axis: "reference" for axis in BACKEND_AXES}
+
+
+def assert_matches_reference_spec(
     pdk,
     clock_net: ClockNet,
     combo: dict | None = None,
     corners=None,
     **config_kwargs,
 ) -> tuple[CtsRunResult, CtsRunResult]:
-    """The IR-native flow must be decision-identical to the object-hop flow.
+    """The flow under ``combo`` must be decision-identical to the spec.
 
-    Runs the same flow under both representations and asserts bit-equal
-    tree fingerprints plus equal decision-derived metrics (latency, skew,
-    resource counts).  Returns ``(object_result, ir_result)`` for further
-    checks.
+    Runs the same flow under ``combo`` and under :data:`ALL_REFERENCE` and
+    asserts bit-equal tree fingerprints and resource counts.  The timing
+    columns must equal the spec's design timed by ``combo``'s own timing
+    engine, bit for bit (the two timing engines agree to 1e-9, which
+    ``tests/test_timing_vectorized.py`` pins, not to the last bit).
+    Returns ``(result, spec)`` for further checks.
     """
-    obj = run_flow(
-        pdk, clock_net, combo, corners=corners,
-        representation="object", **config_kwargs,
-    )
-    ir = run_flow(
-        pdk, clock_net, combo, corners=corners,
-        representation="ir", **config_kwargs,
-    )
-    assert ir.design is not None, "IR run must carry the persistent design"
-    assert obj.design is None, "object run must not carry a design"
-    assert_clock_trees_identical(obj.tree, ir.tree)
-    assert obj.metrics.latency == ir.metrics.latency
-    assert obj.metrics.skew == ir.metrics.skew
-    assert obj.metrics.buffers == ir.metrics.buffers
-    assert obj.metrics.ntsvs == ir.metrics.ntsvs
-    assert obj.metrics.sinks == ir.metrics.sinks
-    assert obj.metrics.corner_skews == ir.metrics.corner_skews
-    assert obj.metrics.corner_latencies == ir.metrics.corner_latencies
-    return obj, ir
+    result = run_flow(pdk, clock_net, combo, corners=corners, **config_kwargs)
+    spec = run_flow(pdk, clock_net, ALL_REFERENCE, corners=corners, **config_kwargs)
+    assert_clock_trees_identical(spec.tree, result.tree)
+    assert spec.metrics.buffers == result.metrics.buffers
+    assert spec.metrics.ntsvs == result.metrics.ntsvs
+    assert spec.metrics.sinks == result.metrics.sinks
+    selection = BackendSelection(**(combo or {}))
+    timing = CtsConfig(backends=selection).resolved_backends().timing
+    timed = evaluate_tree(spec.design, pdk, engine=timing, corners=corners)
+    assert timed.latency == result.metrics.latency
+    assert timed.skew == result.metrics.skew
+    assert timed.corner_skews == result.metrics.corner_skews
+    assert timed.corner_latencies == result.metrics.corner_latencies
+    return result, spec
 
 
 # ------------------------------------------------------------------ asserts

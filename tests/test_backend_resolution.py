@@ -18,11 +18,9 @@ from repro.flow.config import (
     CtsConfig,
     DME_BACKEND_CHOICE,
     DP_BACKEND_CHOICE,
-    FLOW_REPRESENTATION_CHOICE,
     GUARD_POLICY_CHOICE,
     ResolvedBackends,
     TIMING_ENGINE_CHOICE,
-    _reset_deprecation_warnings,
 )
 
 CHOICES = (TIMING_ENGINE_CHOICE, DP_BACKEND_CHOICE, DME_BACKEND_CHOICE)
@@ -156,58 +154,22 @@ ALL_BACKEND_ENV_VARS = (
     "REPRO_DP_BACKEND",
     "REPRO_DME_BACKEND",
     "REPRO_GUARD",
-    "REPRO_FLOW_REPRESENTATION",
-)
-
-#: (deprecated loose CtsConfig field, BackendSelection field) per knob.
-LEGACY_FIELD_PAIRS = (
-    ("timing_engine", "timing"),
-    ("dp_backend", "dp"),
-    ("dme_backend", "dme"),
-    ("guard", "guard"),
 )
 
 
 @pytest.fixture()
 def clean_backend_env(monkeypatch):
-    """No backend environment overrides, no prior deprecation warnings."""
+    """No backend environment overrides."""
     for name in ALL_BACKEND_ENV_VARS:
         monkeypatch.delenv(name, raising=False)
-    _reset_deprecation_warnings()
-    yield
-    _reset_deprecation_warnings()
-
-
-class TestFlowRepresentationChoice:
-    """The flow-representation knob rides the shared resolution rule."""
-
-    def test_definition(self):
-        assert FLOW_REPRESENTATION_CHOICE.names == ("object", "ir")
-        assert FLOW_REPRESENTATION_CHOICE.default == "object"
-        assert FLOW_REPRESENTATION_CHOICE.env_var == "REPRO_FLOW_REPRESENTATION"
-
-    def test_precedence(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLOW_REPRESENTATION", raising=False)
-        assert FLOW_REPRESENTATION_CHOICE.resolve(None) == "object"
-        monkeypatch.setenv("REPRO_FLOW_REPRESENTATION", "ir")
-        assert FLOW_REPRESENTATION_CHOICE.resolve(None) == "ir"
-        assert FLOW_REPRESENTATION_CHOICE.resolve("object") == "object"
-        monkeypatch.setenv("REPRO_FLOW_REPRESENTATION", "")
-        assert FLOW_REPRESENTATION_CHOICE.resolve(None) == "object"
-
-    def test_unknown_representation_rejected(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLOW_REPRESENTATION", raising=False)
-        with pytest.raises(ValueError, match="unknown flow representation"):
-            FLOW_REPRESENTATION_CHOICE.resolve("tree")
 
 
 class TestConsolidatedBackendSelection:
-    """``CtsConfig.backends`` supersedes the four loose fields.
+    """``CtsConfig.backends`` is the one way to select a backend.
 
-    The acceptance contract: every deprecated surface (loose field, env var)
-    keeps resolving to the same concrete backends as the consolidated
-    ``BackendSelection`` — pinned here knob by knob — and the deprecated
-    surfaces warn exactly once per process.
+    Every environment variable resolves to the same concrete backends as
+    the consolidated ``BackendSelection`` — pinned here knob by knob — and
+    an explicit selection beats the environment.
     """
 
     def test_defaults_resolve_fully(self, clean_backend_env):
@@ -217,23 +179,11 @@ class TestConsolidatedBackendSelection:
             dp="vectorized",
             dme="vectorized",
             guard="off",
-            representation="object",
         )
 
-    @pytest.mark.parametrize("old,new", LEGACY_FIELD_PAIRS)
-    def test_old_field_equals_new_selection(self, clean_backend_env, old, new):
-        value = "reference" if old != "guard" else "degrade"
-        with pytest.warns(DeprecationWarning):
-            legacy = CtsConfig(**{old: value}).resolved_backends()
-        consolidated = CtsConfig(
-            backends=BackendSelection(**{new: value})
-        ).resolved_backends()
-        assert legacy == consolidated
-        assert getattr(legacy, new) == value
-
-    @pytest.mark.parametrize("old,new", LEGACY_FIELD_PAIRS)
-    def test_env_equals_new_selection(self, clean_backend_env, monkeypatch, old, new):
-        value = "reference" if old != "guard" else "strict"
+    @pytest.mark.parametrize("new", ["timing", "dp", "dme", "guard"])
+    def test_env_equals_new_selection(self, clean_backend_env, monkeypatch, new):
+        value = "reference" if new != "guard" else "strict"
         choice = {
             "timing": TIMING_ENGINE_CHOICE,
             "dp": DP_BACKEND_CHOICE,
@@ -248,44 +198,16 @@ class TestConsolidatedBackendSelection:
         ).resolved_backends()
         assert from_env == consolidated
 
-    def test_selection_beats_legacy_beats_env(self, clean_backend_env, monkeypatch):
+    def test_selection_beats_env(self, clean_backend_env, monkeypatch):
         monkeypatch.setenv("REPRO_DP_BACKEND", "reference")
         assert CtsConfig().resolved_backends().dp == "reference"
-        with pytest.warns(DeprecationWarning):
-            config = CtsConfig(dp_backend="vectorized")
+        config = CtsConfig(backends=BackendSelection(dp="vectorized"))
         assert config.resolved_backends().dp == "vectorized"
-        _reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning):
-            config = CtsConfig(
-                dp_backend="reference",
-                backends=BackendSelection(dp="vectorized"),
-            )
-        assert config.resolved_backends().dp == "vectorized"
-
-    def test_representation_rides_the_selection(self, clean_backend_env, monkeypatch):
-        assert CtsConfig().resolved_backends().representation == "object"
-        monkeypatch.setenv("REPRO_FLOW_REPRESENTATION", "ir")
-        assert CtsConfig().resolved_backends().representation == "ir"
-        selection = BackendSelection(representation="object")
-        assert (
-            CtsConfig(backends=selection).resolved_backends().representation
-            == "object"
-        )
 
     def test_unknown_name_rejected_at_resolution(self, clean_backend_env):
         config = CtsConfig(backends=BackendSelection(dme="bogus"))
         with pytest.raises(ValueError, match="unknown DME backend"):
             config.resolved_backends()
-
-    def test_legacy_fields_warn_exactly_once(self, clean_backend_env):
-        import warnings as _warnings
-
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            CtsConfig(timing_engine="reference")
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            CtsConfig(dme_backend="reference")
-        assert not [w for w in caught if w.category is DeprecationWarning]
 
     def test_consolidated_selection_never_warns(self, clean_backend_env):
         import warnings as _warnings
@@ -298,45 +220,68 @@ class TestConsolidatedBackendSelection:
                     dp="reference",
                     dme="reference",
                     guard="degrade",
-                    representation="ir",
                 )
             ).resolved_backends()
         assert not [w for w in caught if w.category is DeprecationWarning]
 
 
-class TestRouterLooseKwargs:
-    """The router's loose kwargs keep working but warn once per process."""
+#: The loose ``CtsConfig`` backend fields ``BackendSelection`` replaced.
+REMOVED_CONFIG_FIELDS = ("timing_engine", "dp_backend", "dme_backend", "guard")
 
-    def test_loose_kwargs_warn_once_and_match_config(self, clean_backend_env, pdk):
-        import warnings as _warnings
 
+class TestRemovedKnobs:
+    """``BackendSelection`` is the only selection surface left.
+
+    The loose config fields and the flow-representation knob are gone, not
+    silently ignored: passing one is a ``TypeError``.
+    """
+
+    @pytest.mark.parametrize("field", REMOVED_CONFIG_FIELDS)
+    def test_loose_config_field_rejected(self, clean_backend_env, field):
+        value = "reference" if field != "guard" else "degrade"
+        with pytest.raises(TypeError, match=field):
+            CtsConfig(**{field: value})
+        assert not hasattr(CtsConfig(), field)
+
+    def test_representation_knob_is_gone(self, clean_backend_env, monkeypatch):
+        with pytest.raises(TypeError, match="representation"):
+            BackendSelection(representation="ir")
+        assert not hasattr(CtsConfig, "for_session")
+        # The old environment override no longer reaches resolution.
+        monkeypatch.setenv("REPRO_FLOW_REPRESENTATION", "object")
+        resolved = CtsConfig().resolved_backends()
+        assert not hasattr(resolved, "representation")
+        assert resolved == ResolvedBackends(
+            timing="vectorized", dp="vectorized", dme="vectorized", guard="off"
+        )
+
+
+class TestRouterConfig:
+    """The router takes every knob from its ``CtsConfig``."""
+
+    def test_router_reads_the_config(self, clean_backend_env, pdk):
         from repro.routing.hierarchical import HierarchicalClockRouter
 
-        with pytest.warns(DeprecationWarning, match="config=CtsConfig"):
-            loose = HierarchicalClockRouter(
-                pdk, high_cluster_size=40, low_cluster_size=6, seed=7
-            )
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            HierarchicalClockRouter(pdk, seed=7)
-        assert not [w for w in caught if w.category is DeprecationWarning]
-
-        config = CtsConfig(high_cluster_size=40, low_cluster_size=6, seed=7)
-        via_config = HierarchicalClockRouter(pdk, config=config)
-        assert loose.high_cluster_size == via_config.high_cluster_size
-        assert loose.low_cluster_size == via_config.low_cluster_size
-        assert loose.seed == via_config.seed
-        assert loose.hierarchical == via_config.hierarchical
-        assert loose.dme_backend == via_config.dme_backend
-
-    def test_loose_kwargs_still_win_over_config(self, clean_backend_env, pdk):
-        from repro.routing.hierarchical import HierarchicalClockRouter
-
-        config = CtsConfig(high_cluster_size=400, low_cluster_size=30, seed=1)
-        with pytest.warns(DeprecationWarning):
-            router = HierarchicalClockRouter(
-                pdk, config=config, seed=9, dme_backend="reference"
-            )
+        config = CtsConfig(
+            high_cluster_size=40,
+            low_cluster_size=6,
+            seed=9,
+            hierarchical_routing=False,
+            backends=BackendSelection(dme="reference"),
+        )
+        router = HierarchicalClockRouter(pdk, config=config)
+        assert router.high_cluster_size == 40
+        assert router.low_cluster_size == 6
         assert router.seed == 9
+        assert router.hierarchical is False
         assert router.dme_backend == "reference"
-        assert router.high_cluster_size == 400
+
+    def test_loose_router_kwargs_rejected(self, clean_backend_env, pdk):
+        from repro.routing.hierarchical import HierarchicalClockRouter
+
+        with pytest.raises(TypeError):
+            HierarchicalClockRouter(pdk, seed=7)
+        with pytest.raises(TypeError):
+            HierarchicalClockRouter(
+                pdk, config=CtsConfig(), dme_backend="reference"
+            )

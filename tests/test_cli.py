@@ -24,6 +24,11 @@ class TestParser:
         args = build_parser().parse_args(["compare", "C4", "C5"])
         assert args.designs == ["C4", "C5"]
 
+    def test_representation_flag_is_gone(self):
+        # The flow has one representation; the old selector is a usage error.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "C4", "--representation", "ir"])
+
 
 class TestCommands:
     def test_table2(self, capsys):

@@ -34,11 +34,10 @@ from repro.insertion import ConcurrentInserter
 from repro.insertion.candidate import CandidateSolution
 from repro.insertion.patterns import PATTERNS
 from repro.refinement import SkewRefiner
-from repro.routing import HierarchicalClockRouter
 from repro.tech import CornerSet
 from repro.tech.layers import Side
 from repro.timing import ElmoreTimingEngine, create_engine
-from tests.conftest import make_random_clock_net
+from tests.conftest import make_random_clock_net, route_tree
 from tests.test_timing_vectorized import random_edit, random_tree
 
 TOLERANCE = 1e-9
@@ -50,8 +49,7 @@ ENGINES = ("reference", "vectorized")
 
 def route(pdk, count=100, extent=140.0, seed=6):
     clock_net = make_random_clock_net(count=count, extent=extent, seed=seed)
-    router = HierarchicalClockRouter(pdk, high_cluster_size=60, low_cluster_size=8)
-    return router.route(clock_net)
+    return route_tree(pdk, clock_net, high_cluster_size=60, low_cluster_size=8)
 
 
 def tree_shape(tree) -> list[tuple]:
@@ -93,11 +91,11 @@ class TestCornerAwareInsertionDp:
         """
         routed = route(pdk)
         result = ConcurrentInserter(pdk, engine=engine, corners=SIGNOFF).run(
-            routed.tree
+            routed
         )
         selected = result.selected
         reference = ElmoreTimingEngine(pdk, corners=SIGNOFF)
-        per_corner = reference.analyze_corners(routed.tree, with_slew=False)
+        per_corner = reference.analyze_corners(routed, with_slew=False)
         for k, name in enumerate(reference.corners.names):
             assert selected.corner_max_delay[k] == pytest.approx(
                 per_corner[name].latency, abs=TOLERANCE
@@ -113,7 +111,7 @@ class TestCornerAwareInsertionDp:
             routed = route(pdk)
             results[engine] = ConcurrentInserter(
                 pdk, engine=engine, corners=SIGNOFF
-            ).run(routed.tree)
+            ).run(routed)
         ref, vec = results["reference"], results["vectorized"]
         assert ref.selected.corner_max_delay == pytest.approx(
             vec.selected.corner_max_delay, abs=TOLERANCE
@@ -176,7 +174,7 @@ class TestCornerAwareInsertionDp:
     def test_scalar_fields_mirror_primary_corner(self, pdk):
         """Every root candidate's scalars equal its nominal tuple entries."""
         routed = route(pdk)
-        result = ConcurrentInserter(pdk, corners=SIGNOFF).run(routed.tree)
+        result = ConcurrentInserter(pdk, corners=SIGNOFF).run(routed)
         primary = SIGNOFF.nominal_index()
         for candidate in result.root_candidates:
             assert candidate.capacitance == candidate.corner_capacitance[primary]
@@ -186,14 +184,14 @@ class TestCornerAwareInsertionDp:
     def test_max_cap_respected_at_every_corner(self, pdk):
         """The driven-load constraint is physical: it holds per corner."""
         routed = route(pdk)
-        ConcurrentInserter(pdk, corners=SIGNOFF).run(routed.tree)
+        ConcurrentInserter(pdk, corners=SIGNOFF).run(routed)
         for scenario in SIGNOFF:
             engine = ElmoreTimingEngine(scenario.apply_to(pdk))
-            assert engine.max_capacitance_violations(routed.tree) == [], scenario.name
+            assert engine.max_capacitance_violations(routed) == [], scenario.name
 
     def test_worst_corner_views_on_candidates(self, pdk):
         routed = route(pdk)
-        result = ConcurrentInserter(pdk, corners=SIGNOFF).run(routed.tree)
+        result = ConcurrentInserter(pdk, corners=SIGNOFF).run(routed)
         selected = result.selected
         assert selected.worst_max_delay == max(selected.corner_max_delay)
         assert selected.worst_capacitance == max(selected.corner_capacitance)
@@ -216,7 +214,7 @@ class TestCornerAwareInsertionDp:
             routed = route(pdk, count=count, seed=seed % 1000)
             results[engine] = ConcurrentInserter(
                 pdk, engine=engine, corners=SIGNOFF
-            ).run(routed.tree)
+            ).run(routed)
         ref, vec = results["reference"], results["vectorized"]
         assert ref.selected.corner_max_delay == pytest.approx(
             vec.selected.corner_max_delay, abs=TOLERANCE

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.dse import DesignSpaceExplorer, is_dominated, pareto_front
-from repro.flow import SingleSideCTS
+from repro.flow import BackendSelection, SingleSideCTS
 from repro.guard import SweepCrash
+from repro.guard.validation import design_cache_key
+from repro.insertion.concurrent import ConcurrentInserter
+from repro.routing.hierarchical import HierarchicalClockRouter
 
 
 class TestParetoUtilities:
@@ -132,16 +135,77 @@ class TestParallelExplore:
     def test_engine_choice_does_not_change_results(self, pdk, small_design, small_config):
         thresholds = [20]
         vec = DesignSpaceExplorer(
-            pdk, small_config.with_updates(timing_engine="vectorized")
+            pdk,
+            small_config.with_updates(
+                backends=BackendSelection(timing="vectorized")
+            ),
         ).explore(small_design, fanout_thresholds=thresholds)
         ref = DesignSpaceExplorer(
-            pdk, small_config.with_updates(timing_engine="reference")
+            pdk,
+            small_config.with_updates(
+                backends=BackendSelection(timing="reference")
+            ),
         ).explore(small_design, fanout_thresholds=thresholds)
         for a, b in zip(vec.points, ref.points):
             assert a.metrics.latency == pytest.approx(b.metrics.latency, abs=1e-6)
             assert a.metrics.skew == pytest.approx(b.metrics.skew, abs=1e-6)
             assert a.metrics.buffers == b.metrics.buffers
             assert a.metrics.ntsvs == b.metrics.ntsvs
+
+
+class TestSweepConfig:
+    def test_sweep_honours_config_backends(
+        self, pdk, small_design, small_config, monkeypatch
+    ):
+        """Every sweep point's inserter runs on the configured backends."""
+        seen = []
+        original = ConcurrentInserter.__init__
+
+        def spy(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            seen.append((self.dp_backend, type(self._engine).__name__))
+
+        monkeypatch.setattr(ConcurrentInserter, "__init__", spy)
+        reference = BackendSelection(
+            timing="reference", dp="reference", dme="reference"
+        )
+        explorer = DesignSpaceExplorer(
+            pdk, small_config.with_updates(backends=reference)
+        )
+        result = explorer.explore(small_design, fanout_thresholds=[0, 20])
+        assert len(result.points) == 2 and not result.failures
+        assert seen == [("reference", "ElmoreTimingEngine")] * 2
+
+    def test_points_run_on_private_copies(
+        self, pdk, small_design, small_config, monkeypatch
+    ):
+        """Threshold order never changes a point, and the routed design the
+        points start from is never mutated by them."""
+        routed = []
+        original = HierarchicalClockRouter.route_design
+
+        def spy(self, clock_net):
+            result = original(self, clock_net)
+            routed.append((result.design, design_cache_key(result.design)))
+            return result
+
+        monkeypatch.setattr(HierarchicalClockRouter, "route_design", spy)
+        explorer = DesignSpaceExplorer(pdk, small_config)
+        thresholds = [0, 20, 10 ** 6]
+        forward = explorer.explore(small_design, fanout_thresholds=thresholds)
+        backward = explorer.explore(small_design, fanout_thresholds=thresholds[::-1])
+
+        def rows(sweep):
+            by_threshold = {}
+            for row in sweep.rows():
+                row.pop("runtime_s")
+                by_threshold[row["parameter"]] = row
+            return by_threshold
+
+        assert rows(forward) == rows(backward)
+        assert len(routed) == 2
+        for design, key in routed:
+            assert design_cache_key(design) == key
 
 
 class TestSweepFailures:

@@ -47,24 +47,28 @@ from repro.guard.faults import (
 )
 from repro.netlist import ClockNet, ClockSink, ClockSource
 from repro.geometry import Point
-from repro.routing.hierarchical import HierarchicalClockRouter
 from repro.tech import CornerSet
 from repro.tech.corners import Scenario
 from repro.tech.layers import MetalStack, Side
 from repro.tech.nldm import NldmTable
-from tests.conftest import make_random_clock_net
+from tests.conftest import make_random_clock_net, route_tree
 from tests.harness import assert_clock_trees_identical
 
-ALL_REFERENCE = {
-    "timing_engine": "reference",
-    "dp_backend": "reference",
-    "dme_backend": "reference",
-}
+ALL_REFERENCE = {"timing": "reference", "dp": "reference", "dme": "reference"}
 
 
-def run_guarded(pdk, clock_net, faults=(), **config_kwargs):
-    """The harness flow configuration plus guard faults."""
-    config = CtsConfig(high_cluster_size=40, low_cluster_size=6, seed=7, **config_kwargs)
+def run_guarded(pdk, clock_net, faults=(), guard=None, **backends):
+    """The harness flow configuration plus guard faults.
+
+    ``backends`` are :class:`BackendSelection` fields (e.g.
+    ``**ALL_REFERENCE``).
+    """
+    config = CtsConfig(
+        high_cluster_size=40,
+        low_cluster_size=6,
+        seed=7,
+        backends=BackendSelection(guard=guard, **backends),
+    )
     return DoubleSideCTS(pdk, config, guard_faults=faults).run(clock_net)
 
 
@@ -175,10 +179,8 @@ class TestStageAnomalies:
     @pytest.fixture()
     def routed(self, pdk):
         net = small_net()
-        tree = (
-            HierarchicalClockRouter(pdk, high_cluster_size=40, low_cluster_size=6, seed=7)
-            .route(net)
-            .tree
+        tree = route_tree(
+            pdk, net, high_cluster_size=40, low_cluster_size=6, seed=7
         )
         return net, tree
 
@@ -254,11 +256,7 @@ class TestEditLogProbe:
     @pytest.fixture()
     def tree(self, pdk):
         net = small_net()
-        return (
-            HierarchicalClockRouter(pdk, high_cluster_size=40, low_cluster_size=6, seed=7)
-            .route(net)
-            .tree
-        )
+        return route_tree(pdk, net, high_cluster_size=40, low_cluster_size=6, seed=7)
 
     def test_clean_log_passes(self, tree):
         assert edit_log_anomaly(tree) is None
@@ -480,25 +478,10 @@ class TestDegradeSemantics:
         )
 
 
-# --------------------------------------------- IR-path fault-injection matrix
-def run_guarded_ir(pdk, clock_net, faults=(), guard=None, all_reference=False):
-    """The guarded flow on the IR-native representation."""
-    backends = BackendSelection(
-        timing="reference" if all_reference else None,
-        dp="reference" if all_reference else None,
-        dme="reference" if all_reference else None,
-        guard=guard,
-        representation="ir",
-    )
-    config = CtsConfig(
-        high_cluster_size=40, low_cluster_size=6, seed=7, backends=backends
-    )
-    return DoubleSideCTS(pdk, config, guard_faults=faults).run(clock_net)
-
-
-#: Every guarded mutating stage of the IR pipeline crossed with structural
-#: and numeric corruption classes — the injectors are polymorphic and write
-#: straight into the persistent :class:`DesignArrays` columns.
+# ---------------------------------------- design-level fault-injection matrix
+#: Every guarded mutating stage crossed with more structural and numeric
+#: corruption classes — the injectors write straight into the persistent
+#: :class:`DesignArrays` columns.
 IR_FAULT_CASES = [
     ("routing", poke_nan_capacitance),
     ("routing", drop_sink),
@@ -512,19 +495,16 @@ IR_FAULT_CASES = [
 
 @pytest.mark.parametrize("case", IR_FAULT_CASES, ids=fault_id)
 class TestIrFaultInjectionMatrix:
-    """The guard semantics carry over to the IR-native flow path.
-
-    Unlike the object path (which *replays* earlier stages to rebuild the
-    pre-stage tree), the IR path restores the pre-stage design snapshot and
-    re-runs only the faulted stage on the reference backends — so for every
-    stage the recovered tree is bit-identical to an all-reference IR run.
+    """Degrade restores the pre-stage design snapshot and re-runs only the
+    faulted stage on the reference backends — so for every stage the
+    recovered tree is bit-identical to an all-reference run.
     """
 
     def test_strict_raises_naming_the_stage(self, pdk, case):
         stage, injector = case
         net = small_net()
         with pytest.raises(GuardError) as err:
-            run_guarded_ir(
+            run_guarded(
                 pdk, net, faults=[StageFault(stage, injector)], guard="strict"
             )
         assert err.value.stage == stage
@@ -533,7 +513,7 @@ class TestIrFaultInjectionMatrix:
     def test_degrade_recovers_bit_identical_to_all_reference(self, pdk, case):
         stage, injector = case
         net = small_net()
-        degraded = run_guarded_ir(
+        degraded = run_guarded(
             pdk, net, faults=[StageFault(stage, injector)], guard="degrade"
         )
         stages = [d.stage for d in degraded.guard_diagnostics]
@@ -542,31 +522,36 @@ class TestIrFaultInjectionMatrix:
         assert diagnostic.action == "degraded"
         assert diagnostic.backend == "reference"
         assert degraded.degraded
-        reference = run_guarded_ir(pdk, net, all_reference=True)
+        reference = run_guarded(pdk, net, **ALL_REFERENCE)
         assert_clock_trees_identical(degraded.tree, reference.tree)
 
 
 class TestIrGuardSemantics:
     def test_clean_ir_run_under_degrade_matches_off(self, pdk):
         net = small_net()
-        off = run_guarded_ir(pdk, net, guard="off")
-        degraded = run_guarded_ir(pdk, net, guard="degrade")
+        off = run_guarded(pdk, net, guard="off")
+        degraded = run_guarded(pdk, net, guard="degrade")
         assert degraded.guard_diagnostics == []
         assert_clock_trees_identical(off.tree, degraded.tree)
 
     def test_ir_off_with_fault_is_silently_corrupt(self, pdk):
         net = small_net()
-        result = run_guarded_ir(
+        result = run_guarded(
             pdk, net, faults=[StageFault("insertion", drop_sink)], guard="off"
         )
         assert result.guard_diagnostics == []
         assert result.design.sink_rows().size == len(net.sinks) - 1
 
-    def test_ir_degrade_matches_object_degrade(self, pdk):
-        # The two representations degrade to the same final tree.
+    def test_degrade_on_reference_backends_matches_reference(self, pdk):
+        # A fault under the all-reference selection degrades onto the same
+        # backends it ran on, and lands on the clean all-reference tree.
         net = small_net()
         fault = [StageFault("insertion", poke_nan_capacitance)]
-        via_ir = run_guarded_ir(pdk, net, faults=fault, guard="degrade")
-        via_object = run_guarded(pdk, net, faults=fault, guard="degrade")
-        assert via_ir.degraded and via_object.degraded
-        assert_clock_trees_identical(via_ir.tree, via_object.tree)
+        degraded = run_guarded(
+            pdk, net, faults=fault, guard="degrade", **ALL_REFERENCE
+        )
+        assert degraded.degraded
+        assert [d.stage for d in degraded.guard_diagnostics] == ["insertion"]
+        reference = run_guarded(pdk, net, **ALL_REFERENCE)
+        assert_clock_trees_identical(degraded.tree, reference.tree)
+

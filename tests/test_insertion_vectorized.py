@@ -26,10 +26,9 @@ from repro.insertion.frontier import (
     default_dp_backend,
     resolve_dp_backend,
 )
-from repro.routing.hierarchical import HierarchicalClockRouter
 from repro.tech import CornerSet
 from repro.tech.layers import Side
-from tests.conftest import make_random_clock_net
+from tests.conftest import make_random_clock_net, route_tree
 
 TOLERANCE = 1e-9
 
@@ -41,8 +40,7 @@ ENGINES = ("reference", "vectorized")
 
 def route(pdk, count=110, extent=150.0, seed=9):
     clock_net = make_random_clock_net(count=count, extent=extent, seed=seed)
-    router = HierarchicalClockRouter(pdk, high_cluster_size=60, low_cluster_size=8)
-    return router.route(clock_net)
+    return route_tree(pdk, clock_net, high_cluster_size=60, low_cluster_size=8)
 
 
 def tree_shape(tree) -> list[tuple]:
@@ -75,8 +73,8 @@ def run_both(
         config = InsertionConfig(dp_backend=backend, **(config_kwargs or {}))
         results[backend] = ConcurrentInserter(
             pdk, config, engine=engine, corners=corners
-        ).run(routed.tree, fanout_threshold=fanout_threshold)
-        shapes[backend] = tree_shape(routed.tree)
+        ).run(routed, fanout_threshold=fanout_threshold)
+        shapes[backend] = tree_shape(routed)
     return results, shapes
 
 
@@ -338,7 +336,7 @@ class TestBackendSelection:
         assert DP_BACKEND_NAMES == ("reference", "vectorized")
 
     def test_cts_config_carries_dp_backend(self):
-        from repro.flow import CtsConfig
+        from repro.flow import BackendSelection, CtsConfig
 
-        config = CtsConfig(dp_backend="reference")
-        assert config.dp_backend == "reference"
+        config = CtsConfig(backends=BackendSelection(dp="reference"))
+        assert config.resolved_backends().dp == "reference"

@@ -122,8 +122,8 @@ def test_single_high_cluster_falls_back_to_serial(pdk):
 )
 def test_flow_matrix_parallel_matches_serial(pdk, combo):
     clock_net = make_random_clock_net(count=60, extent=150.0, seed=2)
-    serial = run_flow(pdk, clock_net, combo, representation="ir")
-    parallel = run_flow(pdk, clock_net, combo, representation="ir", workers=2)
+    serial = run_flow(pdk, clock_net, combo)
+    parallel = run_flow(pdk, clock_net, combo, workers=2)
     assert clock_tree_fingerprint(serial.tree) == clock_tree_fingerprint(
         parallel.tree
     )
@@ -137,10 +137,8 @@ def test_flow_matrix_parallel_matches_serial(pdk, combo):
 def test_flow_worker_counts_identical(pdk, workers):
     combo = {"dme": "vectorized", "dp": "vectorized", "timing": "vectorized"}
     clock_net = make_random_clock_net(count=140, extent=320.0, seed=3)
-    serial = run_flow(pdk, clock_net, combo, representation="ir")
-    parallel = run_flow(
-        pdk, clock_net, combo, representation="ir", workers=workers
-    )
+    serial = run_flow(pdk, clock_net, combo)
+    parallel = run_flow(pdk, clock_net, combo, workers=workers)
     assert clock_tree_fingerprint(serial.tree) == clock_tree_fingerprint(
         parallel.tree
     )
@@ -149,16 +147,9 @@ def test_flow_worker_counts_identical(pdk, workers):
 
 def test_corner_aware_flow_parallel_matches_serial(pdk):
     clock_net = make_random_clock_net(count=140, extent=320.0, seed=3)
-    serial = run_flow(
-        pdk, clock_net, {"dp": "vectorized"}, corners="ss,ff", representation="ir"
-    )
+    serial = run_flow(pdk, clock_net, {"dp": "vectorized"}, corners="ss,ff")
     parallel = run_flow(
-        pdk,
-        clock_net,
-        {"dp": "vectorized"},
-        corners="ss,ff",
-        representation="ir",
-        workers=4,
+        pdk, clock_net, {"dp": "vectorized"}, corners="ss,ff", workers=4
     )
     assert clock_tree_fingerprint(serial.tree) == clock_tree_fingerprint(
         parallel.tree

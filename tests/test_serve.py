@@ -2,8 +2,8 @@
 
 The load-bearing pin is byte-identity: a warm ``what_if`` answer from a
 cached session must encode to exactly the bytes of the cold one-shot
-equivalent (:func:`repro.serve.session.one_shot_reply`), across flow
-representations and worker counts.
+equivalent (:func:`repro.serve.session.one_shot_reply`), across worker
+counts.
 """
 
 from __future__ import annotations
@@ -147,6 +147,27 @@ class TestBuildAndCache:
         assert rpc(server, op="evict", session=key)["result"]["evicted"] is True
         assert rpc(server, op="evict", session=key)["result"]["evicted"] is False
 
+    def test_cold_build_hashes_the_net_once(self, pdk, monkeypatch):
+        """A cold build keys its session with one hash of the clock net."""
+        import repro.serve.server as server_module
+        import repro.serve.session as session_module
+        from repro.netlist.clock import ClockNet
+
+        hashed = []
+        original = session_module.design_cache_key
+
+        def spy(design, *args, **kwargs):
+            if isinstance(design, ClockNet):
+                hashed.append(design.name)
+            return original(design, *args, **kwargs)
+
+        monkeypatch.setattr(server_module, "design_cache_key", spy)
+        monkeypatch.setattr(session_module, "design_cache_key", spy)
+        server = CtsServer(pdk, CtsConfig())
+        reply = rpc(server, op="build", design=net_spec(random_sink_cloud(30, seed=4)))
+        assert reply["ok"] and reply["result"]["cached"] is False
+        assert len(hashed) == 1
+
     def test_session_cache_requires_string_key(self):
         cache = SessionCache(2)
         with pytest.raises(ProtocolError):
@@ -159,15 +180,13 @@ EDITS = [{"kind": "insert_buffer", "node": "ff_3"}]
 
 
 class TestWhatIf:
-    @pytest.mark.parametrize("representation", ["object", "ir"])
-    def test_warm_reply_byte_identical_to_cold(self, pdk, representation, monkeypatch):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_warm_reply_byte_identical_to_cold(self, pdk, workers, monkeypatch):
         """The acceptance pin: warm what_if == cold one-shot, byte for byte.
 
-        The cold flow runs under each representation (sessions themselves
-        always force ``ir``); workers=2 exercises the parallel tier.
+        workers=2 exercises the parallel tier.
         """
-        monkeypatch.setenv("REPRO_FLOW_REPRESENTATION", representation)
-        monkeypatch.setenv("REPRO_FLOW_WORKERS", "2")
+        monkeypatch.setenv("REPRO_FLOW_WORKERS", workers)
         net = random_sink_cloud(80, seed=7)
         session = build_session(pdk, net, CtsConfig())
         warm = session.what_if(EDITS)
@@ -343,55 +362,92 @@ class TestConcurrency:
 
     def test_tcp_round_trip(self, pdk):
         """A real asyncio TCP server answers pipelined clients."""
-        import asyncio
-        import builtins
-
         server = CtsServer(pdk, CtsConfig(), workers=2)
-
-        # Run serve_tcp in a thread and scrape the announced ephemeral port
-        # from the discovery line (the same contract clients rely on).
-
-        printed: list[str] = []
-        original_print = builtins.print
-
-        def capture(*args, **kwargs):
-            printed.append(" ".join(str(a) for a in args))
-            original_print(*args, **kwargs)
-
-        builtins.print = capture
-        thread = threading.Thread(
-            target=lambda: asyncio.run(server.serve_tcp("127.0.0.1", 0)),
-            daemon=True,
-        )
-        thread.start()
-        try:
-            deadline = time.time() + 10
-            port = None
-            while time.time() < deadline and port is None:
-                for line in printed:
-                    if line.startswith("serving on"):
-                        port = int(line.rsplit(":", 1)[1])
-                time.sleep(0.01)
-            assert port, "server never announced its port"
-        finally:
-            builtins.print = original_print
-
         spec = net_spec(random_sink_cloud(30, seed=11))
-        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
-            stream = sock.makefile("rw", encoding="utf-8")
-            requests = [
+        replies, thread = tcp_exchange(
+            server,
+            [
                 {"op": "build", "id": 1, "design": spec},
                 {"op": "ping", "id": 2},
                 {"op": "shutdown", "id": 3},
-            ]
-            for request in requests:
-                stream.write(json.dumps(request) + "\n")
-            stream.flush()
-            replies = [json.loads(stream.readline()) for _ in requests]
+            ],
+        )
         assert [r["id"] for r in replies] == [1, 2, 3]
         assert all(r["ok"] for r in replies)
         thread.join(timeout=10)
         assert not thread.is_alive()
+
+    def test_line_over_asyncio_default_limit_is_served(self, pdk):
+        """Requests past asyncio's 64 KiB default (an inline 2k-sink build
+        is ~81 KB) are read whole."""
+        server = CtsServer(pdk, CtsConfig(), workers=1)
+        padded = {"op": "ping", "id": 1, "pad": "x" * 100_000}
+        replies, thread = tcp_exchange(server, [padded, {"op": "shutdown", "id": 2}])
+        assert [(r["id"], r["ok"]) for r in replies] == [(1, True), (2, True)]
+        thread.join(timeout=10)
+
+    def test_oversized_line_gets_typed_error_and_connection_survives(
+        self, pdk, monkeypatch
+    ):
+        import repro.serve.server as server_module
+
+        monkeypatch.setattr(server_module, "MAX_REQUEST_BYTES", 4096)
+        server = CtsServer(pdk, CtsConfig(), workers=1)
+        oversized = {"op": "ping", "id": 1, "pad": "x" * 50_000}
+        replies, thread = tcp_exchange(
+            server,
+            [oversized, {"op": "ping", "id": 2}, {"op": "shutdown", "id": 3}],
+        )
+        too_large, ping, shutdown = replies
+        assert too_large["ok"] is False
+        assert too_large["error"]["type"] == "request_too_large"
+        assert too_large["error"]["limit"] == 4096
+        assert ping == {"id": 2, "ok": True, "result": {"pong": True, "sessions": 0}}
+        assert shutdown["ok"]
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def tcp_exchange(server: CtsServer, requests: list[dict]):
+    """Serve ``server`` over TCP in a thread, send ``requests`` pipelined on
+    one connection, and return the decoded replies plus the server thread."""
+    import asyncio
+    import builtins
+
+    # Run serve_tcp in a thread and scrape the announced ephemeral port
+    # from the discovery line (the same contract clients rely on).
+    printed: list[str] = []
+    original_print = builtins.print
+
+    def capture(*args, **kwargs):
+        printed.append(" ".join(str(a) for a in args))
+        original_print(*args, **kwargs)
+
+    builtins.print = capture
+    thread = threading.Thread(
+        target=lambda: asyncio.run(server.serve_tcp("127.0.0.1", 0)),
+        daemon=True,
+    )
+    thread.start()
+    try:
+        deadline = time.time() + 10
+        port = None
+        while time.time() < deadline and port is None:
+            for line in printed:
+                if line.startswith("serving on"):
+                    port = int(line.rsplit(":", 1)[1])
+            time.sleep(0.01)
+        assert port, "server never announced its port"
+    finally:
+        builtins.print = original_print
+
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        stream = sock.makefile("rw", encoding="utf-8")
+        for request in requests:
+            stream.write(json.dumps(request) + "\n")
+        stream.flush()
+        replies = [json.loads(stream.readline()) for _ in requests]
+    return replies, thread
 
 
 class TestCliServe:
