@@ -88,25 +88,23 @@ class KMeans:
             distances -= 2.0 * (pts @ centroids.T)
             np.maximum(distances, 0.0, out=distances)
             labels = np.argmin(distances, axis=1)
-            new_centroids = centroids.copy()
-            # One stable grouping pass replaces the per-cluster boolean
-            # masks; each contiguous slice holds exactly the rows
-            # ``pts[labels == cluster]`` in original order, so the means
-            # reduce over identical arrays (bit-equal centroids).
-            order = np.argsort(labels, kind="stable")
-            grouped = pts[order]
+            # Weighted bincounts sum each cluster's coordinates one point at
+            # a time in original index order, exactly like the per-cluster
+            # ``pts[labels == cluster].mean(axis=0)`` (an axis-0 reduction),
+            # so the centroids are bit-equal to it.
             counts = np.bincount(labels, minlength=k)
-            stops = np.cumsum(counts)
-            for cluster in range(k):
-                stop = stops[cluster]
-                if counts[cluster] > 0:
-                    new_centroids[cluster] = grouped[
-                        stop - counts[cluster]:stop
-                    ].mean(axis=0)
-                else:
-                    # Re-seed empty clusters at the point farthest from its centroid.
-                    farthest = int(np.argmax(np.min(distances, axis=1)))
-                    new_centroids[cluster] = pts[farthest]
+            divisor = np.maximum(counts, 1)
+            new_centroids = np.column_stack(
+                [
+                    np.bincount(labels, weights=pts[:, axis], minlength=k) / divisor
+                    for axis in range(2)
+                ]
+            )
+            empty = counts == 0
+            if empty.any():
+                # Re-seed empty clusters at the point farthest from its centroid.
+                farthest = int(np.argmax(np.min(distances, axis=1)))
+                new_centroids[empty] = pts[farthest]
             shift = float(np.max(np.abs(new_centroids - centroids)))
             centroids = new_centroids
             if shift < self.tolerance:

@@ -39,7 +39,7 @@ from repro.ir.design import DesignArrays
 from repro.tech.layers import Side
 from repro.guard.policy import GuardError
 from repro.netlist.clock import ClockNet
-from repro.tech.corners import CornerSet
+from repro.tech.corners import CornerSet, Scenario
 from repro.tech.nldm import NldmTable
 from repro.tech.pdk import Pdk
 
@@ -250,10 +250,19 @@ def pdk_problems(pdk: Pdk) -> list[str]:
     return problems
 
 
-def corner_problems(corners: CornerSet | None) -> list[str]:
-    """Every validation problem of a corner set (empty when clean or None)."""
+def corner_problems(corners: CornerSet | Scenario | str | None) -> list[str]:
+    """Every validation problem of a corner set (empty when clean or None).
+
+    Accepts any ``corners=`` argument the flow accepts (a spec string, a
+    scenario, an iterable of scenarios); one that does not resolve to a
+    :class:`CornerSet` is itself the problem reported.
+    """
     if corners is None:
         return []
+    try:
+        corners = CornerSet.resolve(corners)
+    except (TypeError, ValueError) as exc:
+        return [f"corners {corners!r}: {exc}"]
     problems: list[str] = []
     for scenario in corners:
         for attr in (
@@ -288,7 +297,7 @@ def validate_pdk(pdk: Pdk) -> None:
     _raise_on_problems(pdk_problems(pdk), "")
 
 
-def validate_corners(corners: CornerSet | None) -> None:
+def validate_corners(corners: CornerSet | Scenario | str | None) -> None:
     """Raise :class:`GuardError` when the corner set is invalid."""
     _raise_on_problems(corner_problems(corners), "")
 
@@ -318,7 +327,7 @@ def _clock_net_clean(clock_net: ClockNet) -> bool:
 
 
 def validate_flow_inputs(
-    clock_net: ClockNet, pdk: Pdk, corners: CornerSet | None = None
+    clock_net: ClockNet, pdk: Pdk, corners: CornerSet | Scenario | str | None = None
 ) -> None:
     """Validate design, PDK, and corners together (flow-entry check)."""
     problems = [] if _clock_net_clean(clock_net) else clock_net_problems(clock_net)

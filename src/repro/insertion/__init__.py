@@ -17,9 +17,10 @@ This package contains the paper's primary contribution:
 * :mod:`repro.insertion.concurrent` — the multi-objective dynamic program:
   bottom-up generation, multi-objective selection, top-down decision, and
   realisation of the chosen patterns on the clock tree.
-* :mod:`repro.insertion.frontier` — the vectorized DP backend: candidate
-  sets as :class:`CandidateFrontier` struct-of-arrays with broadcast merges,
-  batched pattern costs, and vectorized pruning sweeps.  Selected via
+* :mod:`repro.insertion.frontier` — the vectorized DP backend: the
+  candidate sets of every DP node of one tree height as one
+  :class:`CandidateFrontier` struct-of-arrays, with segmented merges,
+  batched pattern costs, and segmented pruning sweeps.  Selected via
   ``InsertionConfig.dp_backend`` / ``REPRO_DP_BACKEND`` (default
   ``vectorized``); the object DP in ``concurrent`` is the executable spec.
 * :mod:`repro.insertion.vanginneken` — classic single-side buffer insertion

@@ -31,10 +31,10 @@ classic single-corner DP.
 
 **Two DP backends.**  The per-candidate object DP implemented in this module
 is the executable spec; :mod:`repro.insertion.frontier` provides the
-production ``vectorized`` backend (struct-of-arrays candidate frontiers,
-broadcast merges, batched pattern costs, vectorized pruning) which builds an
-identical tree several-fold faster — close to corner-count-independent for
-corner-aware runs.  Select per inserter (``dp_backend=``), per config
+production ``vectorized`` backend (struct-of-arrays candidate frontiers
+evaluated one DP-tree height at a time: segmented merges, batched pattern
+costs, segmented pruning sweeps) which builds an identical tree an order of
+magnitude faster.  Select per inserter (``dp_backend=``), per config
 (``InsertionConfig.dp_backend`` / ``BackendSelection.dp``), from the CLI
 (``dscts --dp-backend``), or globally via ``REPRO_DP_BACKEND``; the default
 is ``vectorized``.

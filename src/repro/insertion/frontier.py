@@ -3,36 +3,53 @@
 Mirrors the two-engine pattern of :mod:`repro.timing`: the object DP in
 :mod:`repro.insertion.concurrent` (per-candidate
 :class:`~repro.insertion.candidate.CandidateSolution` objects) is the
-executable spec, and this module is the production backend.  Every DP node's
-candidate set lives in a :class:`CandidateFrontier` struct-of-arrays, so
+executable spec, and this module is the production backend.
 
-* ``_merge`` becomes a broadcast cross-product over two frontiers (outer-sum
-  capacitance grids, element-wise max/min delay grids),
-* pattern application evaluates all (candidate x pattern x corner) costs in
-  one shot through the batched cell models
-  (:meth:`~repro.tech.cells.BufferCell.delay_batch`, which routes through the
-  batched NLDM path when a table and slew are available),
+**Level-batched.**  A DP node's frontier depends only on its predecessors'
+frontiers, so every node of one DP-tree height is evaluated together.  The
+candidate sets of all nodes of a height live in one set of flat
+struct-of-arrays columns (a :class:`CandidateFrontier`), each node owning a
+contiguous *segment*, and every DP step is one segmented numpy pass over the
+height instead of one call per node:
+
+* the merge is a ragged, row-major cross-product of the predecessor
+  segments under the side-match mask,
+* pattern application expands every merged candidate by the patterns of its
+  (insertion mode, down-side) key, with the edge length as a per-candidate
+  column, and evaluates each pattern's (candidate x corner) costs in one
+  shot through the batched cell models
+  (:meth:`~repro.tech.cells.BufferCell.delay_batch`),
 * the maximum driven-capacitance filter is a boolean mask, and
-* dominance pruning is a vectorized staircase sweep (sort + cummin for the
-  scalar case, an ``(n, n, K)`` broadcast — blocked for very large sets —
-  vector-dominance test for corner batches).
+* dominance pruning is one stable ``lexsort`` by (segment, side, worst cap,
+  worst delay, resources), then one sweep per (segment, side) group: a
+  padded running-minimum staircase for nominal runs, a tiled ``(n, n, K)``
+  vector-dominance test for corner batches, and the beam.  Groups with
+  near-ties inside the 1e-9 tolerance band, and the resource-diversity rule,
+  take the exact sequential scan for that group only.
+
+The pruned frontiers land in a :class:`FrontierStore`: one array block per
+height, every DP node mapped to its row range.  The trees are shallow (the
+Table II designs are 8-11 levels deep), so a whole DP costs a few hundred
+numpy calls instead of a few per node.
 
 Backends are selected through ``InsertionConfig.dp_backend`` /
 ``BackendSelection.dp`` / ``dscts --dp-backend`` / the ``REPRO_DP_BACKEND``
 environment variable, defaulting to ``vectorized``.
 
 Both backends are kept *decision-identical*: candidate values are computed
-with the same operation order (bit-identical floats), candidate ordering
-follows the same stable sort keys, pruning implements the single rule
-documented in :mod:`repro.insertion.pruning`, and the top-down realisation
-walks the recorded back-pointers in the same stack order, so inserted nodes
-receive identical names.  ``tests/test_insertion_vectorized.py`` enforces
-identical selected trees and 1e-9-equal root candidate fronts.
+with the same element-wise operation order (bit-identical floats),
+candidate ordering follows the same stable sort keys, pruning implements the
+single rule documented in :mod:`repro.insertion.pruning`, and the top-down
+realisation walks the recorded back-pointers in the same stack order, so
+inserted nodes receive identical names.  ``tests/test_insertion_vectorized.py``
+enforces identical selected trees and 1e-9-equal root candidate fronts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,7 +57,7 @@ import numpy as np
 from repro.clocktree import ClockTree
 from repro.insertion.candidate import CandidateSolution
 from repro.insertion.dp_tree import DpNode, DpTree
-from repro.insertion.patterns import PATTERNS, EdgePattern, patterns_for
+from repro.insertion.patterns import PATTERNS, EdgePattern, InsertionMode, patterns_for
 from repro.tech.layers import Side
 from repro.tech.pdk import Pdk
 
@@ -57,14 +74,26 @@ SIDE_FRONT = 0
 SIDE_BACK = 1
 _SIDE_CODES = {Side.FRONT: SIDE_FRONT, Side.BACK: SIDE_BACK}
 
+#: Compact insertion-mode codes (pattern expansion keys are mode * 2 + side).
+_MODE_CODES = {InsertionMode.FULL: 0, InsertionMode.INTRA_SIDE: 1}
+
 #: Pattern name -> compact pattern id (index into ``PATTERNS``).
 _PATTERN_INDEX = {pattern.name: i for i, pattern in enumerate(PATTERNS)}
+
+#: Per pattern id: up-side code, added buffers, added nTSVs.
+_PATTERN_UP_SIDE = np.asarray([_SIDE_CODES[p.up_side] for p in PATTERNS], np.int8)
+_PATTERN_BUFFERS = np.asarray([p.buffer_count for p in PATTERNS], np.int64)
+_PATTERN_NTSVS = np.asarray([p.ntsv_count for p in PATTERNS], np.int64)
+
+#: The candidate columns a merge reads from predecessor frontiers.
+_GATHERED = ("side", "cap", "max_delay", "min_delay", "buffers", "ntsvs")
 
 #: Tolerance shared with the object backend's dominance and load checks.
 _TOL = 1e-9
 
-#: Above this candidate count the pairwise dominance test runs in column
-#: blocks (bounding the (n, n, K) broadcast memory).
+#: Bound of the pairwise dominance test: one tile compares at most
+#: ``_PAIRWISE_LIMIT ** 2`` candidate pairs (times the corner count), and a
+#: group larger than this is tested in column blocks.
 _PAIRWISE_LIMIT = 512
 
 
@@ -85,7 +114,7 @@ def resolve_dp_backend(name: str | None) -> str:
 
 @dataclass
 class CandidateFrontier:
-    """One DP node's candidate set as struct-of-arrays.
+    """Candidate sets as struct-of-arrays: one DP node's, or a whole height's.
 
     The arrays mirror :class:`CandidateSolution` fields, with the per-corner
     tuples widened to a leading scenario axis: ``cap`` / ``max_delay`` /
@@ -134,6 +163,19 @@ class CandidateFrontier:
             choice=self.choice[idx],
         )
 
+    def rows(self, start: int, stop: int, width: int) -> "CandidateFrontier":
+        """Views of rows ``start:stop`` with the first ``width`` back-pointers."""
+        return CandidateFrontier(
+            side=self.side[start:stop],
+            cap=self.cap[:, start:stop],
+            max_delay=self.max_delay[:, start:stop],
+            min_delay=self.min_delay[:, start:stop],
+            buffers=self.buffers[start:stop],
+            ntsvs=self.ntsvs[start:stop],
+            pattern=self.pattern[start:stop],
+            choice=self.choice[start:stop, :width],
+        )
+
     @staticmethod
     def concatenate(parts: Sequence["CandidateFrontier"]) -> "CandidateFrontier":
         """Concatenate frontiers with identical K and back-pointer width."""
@@ -151,8 +193,168 @@ class CandidateFrontier:
         )
 
 
+class FrontierStore(Mapping):
+    """The pruned frontier of every DP node, keyed by DP node index.
+
+    The level pass writes one :class:`CandidateFrontier` block per DP-tree
+    height; each node maps to a row range of one block plus its
+    back-pointer width (its predecessor count).  Indexing returns a
+    frontier of views into the block, so treat it as read-only.
+    """
+
+    def __init__(self) -> None:
+        self.blocks: list[CandidateFrontier] = []
+        #: DP node index -> (block, first row, end row, back-pointer width).
+        self.spans: dict[int, tuple[int, int, int, int]] = {}
+
+    def add_block(
+        self,
+        block: CandidateFrontier,
+        indices: Sequence[int],
+        counts: np.ndarray,
+        widths: Sequence[int],
+    ) -> None:
+        """Register ``block`` whose consecutive segments of ``counts`` rows
+        belong to the DP nodes ``indices`` (in that order)."""
+        number = len(self.blocks)
+        self.blocks.append(block)
+        start = 0
+        for index, stop, width in zip(indices, np.cumsum(counts).tolist(), widths):
+            self.spans[index] = (number, start, stop, width)
+            start = stop
+
+    def add(self, index: int, frontier: CandidateFrontier) -> None:
+        """Register one node's standalone frontier (a shipped subtree's)."""
+        self.add_block(frontier, [index], [frontier.size], [frontier.choice.shape[1]])
+
+    def decision(self, index: int, i: int) -> tuple[int, list[int]]:
+        """(pattern id, predecessor back-pointers) of candidate ``i`` of a node."""
+        number, start, _stop, width = self.spans[index]
+        block = self.blocks[number]
+        return int(block.pattern[start + i]), block.choice[start + i, :width].tolist()
+
+    def __getitem__(self, index: int) -> CandidateFrontier:
+        number, start, stop, width = self.spans[index]
+        return self.blocks[number].rows(start, stop, width)
+
+    def __contains__(self, index: object) -> bool:
+        return index in self.spans
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.spans)
+
+    def __len__(self) -> int:
+        return len(self.spans)
+
+
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums: the first row of each segment of ``counts``."""
+    starts = np.zeros(counts.size, np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    return starts
+
+
+def _is_chain(node: DpNode) -> bool:
+    """A segmentation Steiner: one predecessor, no load of its own."""
+    return (
+        len(node.predecessors) == 1
+        and node.base_capacitance == 0.0
+        and not node.has_direct_sinks
+    )
+
+
+def _size_classes(
+    gstart: np.ndarray, gsize: np.ndarray, power: int = 1
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Groups of two or more rows, padded per size class.
+
+    Yields ``(groups, rows, valid)``: the group numbers, a ``(G, L)`` matrix
+    of their row positions (padding repeats a group's last row) and the
+    ``(G, L)`` mask of real entries.  A class holds the groups whose size to
+    the ``power`` shares a power of two, so padding at most doubles the rows
+    (``power=1``) or the row pairs (``power=2``) a matrix holds.
+    """
+    multi = np.nonzero(gsize >= 2)[0]
+    if multi.size == 0:
+        return
+    size_class = np.frexp((gsize[multi] - 1) ** power)[1]
+    for value in np.flatnonzero(np.bincount(size_class)).tolist():
+        groups = multi[size_class == value]
+        sizes = gsize[groups]
+        offsets = np.arange(int(sizes.max()))
+        valid = offsets[None, :] < sizes[:, None]
+        last = sizes[:, None] - 1
+        rows = gstart[groups][:, None] + np.minimum(offsets[None, :], last)
+        yield groups, rows, valid
+
+
+def _sequential_keep(
+    dominance: list[list[bool]], resources: list[int] | None = None
+) -> list[int]:
+    """The exact kept-set rule over a precomputed within-tolerance dominance
+    matrix (``dominance[i][j]``: candidate ``i`` dominates ``j``).
+
+    A candidate is dropped when a kept earlier candidate dominates it — unless
+    ``resources`` is given and it uses fewer resources than every kept
+    dominator (the resource-diversity exception).
+    """
+    kept: list[int] = []
+    for j in range(len(dominance)):
+        dominators = [i for i in kept if dominance[i][j]]
+        if dominators and (
+            resources is None or resources[j] >= min(resources[i] for i in dominators)
+        ):
+            continue
+        kept.append(j)
+    return kept
+
+
+def _scan_keep(
+    caps: np.ndarray, delays: np.ndarray, resources: np.ndarray | None = None
+) -> np.ndarray:
+    """The same rule one candidate at a time (no pairwise matrix)."""
+    kept: list[int] = []
+    for pos in range(caps.shape[1]):
+        if kept:
+            cols = np.asarray(kept)
+            dominated = np.all(caps[:, cols] <= caps[:, pos : pos + 1] + _TOL, axis=0)
+            dominated &= np.all(
+                delays[:, cols] <= delays[:, pos : pos + 1] + _TOL, axis=0
+            )
+            if dominated.any() and (
+                resources is None
+                or int(resources[pos]) >= int(resources[cols[dominated]].min())
+            ):
+                continue
+        kept.append(pos)
+    return np.asarray(kept, np.int64)
+
+
+def _dominance(
+    caps: np.ndarray,
+    delays: np.ndarray,
+    tol: float | None,
+    columns: slice = slice(None),
+) -> np.ndarray:
+    """``(..., L, C)`` vector dominance over gathered ``(K, ..., L)`` columns:
+    entry ``[i, j]`` is true when candidate ``i`` is no worse than candidate
+    ``j`` of ``columns`` at every corner (within ``tol`` when given)."""
+    cap_j = caps[..., None, columns]
+    delay_j = delays[..., None, columns]
+    if tol is not None:
+        cap_j = cap_j + tol
+        delay_j = delay_j + tol
+    # One corner at a time: no (K, ..., L, L) temporary.
+    dominated = caps[0, ..., :, None] <= cap_j[0]
+    dominated &= delays[0, ..., :, None] <= delay_j[0]
+    for k in range(1, caps.shape[0]):
+        dominated &= caps[k, ..., :, None] <= cap_j[k]
+        dominated &= delays[k, ..., :, None] <= delay_j[k]
+    return dominated
+
+
 class VectorizedInsertionDp:
-    """The array-based insertion DP: batched costs, masked filters, sweeps.
+    """The array-based insertion DP: level-batched merges, costs and sweeps.
 
     Instantiated by :class:`~repro.insertion.concurrent.ConcurrentInserter`
     with the engine-resolved corner PDK list (``[pdk]`` for nominal runs), so
@@ -201,38 +403,19 @@ class VectorizedInsertionDp:
         else:
             self.b_ur = self.b_uc = self.ntsv_r = self.ntsv_c = None
 
-        # Shared small constants (never mutated): leaf frontier scaffolding,
-        # identity back-pointer ranges, per-pattern-set constant rows.
-        self._leaf_side = np.zeros(1, np.int8)
-        self._leaf_zeros = np.zeros(1, np.int64)
-        self._leaf_pattern = np.full(1, -1, np.int16)
-        self._leaf_choice = np.empty((1, 0), np.int64)
-        self._arange_cache: dict[int, np.ndarray] = {}
-        self._no_pattern_cache: dict[int, np.ndarray] = {}
+        # Pattern expansion table keyed by mode * 2 + down-side code: the
+        # allowed pattern ids in P1..P6 order, and how many there are.
+        self._expand_ids = np.zeros((2 * len(_MODE_CODES), len(PATTERNS)), np.int16)
+        self._expand_count = np.zeros(2 * len(_MODE_CODES), np.int64)
+        for mode, mode_code in _MODE_CODES.items():
+            for side, side_code in _SIDE_CODES.items():
+                allowed = patterns_for(mode, pdk.has_backside, required_down_side=side)
+                key = 2 * mode_code + side_code
+                self._expand_count[key] = len(allowed)
+                self._expand_ids[key, : len(allowed)] = [
+                    _PATTERN_INDEX[p.name] for p in allowed
+                ]
         self._triu_cache: dict[int, np.ndarray] = {}
-        self._tiled_cache: dict[
-            tuple[tuple[EdgePattern, ...], int],
-            tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        ] = {}
-        self._pattern_consts: dict[
-            tuple[EdgePattern, ...],
-            tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        ] = {}
-
-    def _arange(self, n: int) -> np.ndarray:
-        cached = self._arange_cache.get(n)
-        if cached is None:
-            cached = np.arange(n, dtype=np.int64)
-            self._arange_cache[n] = cached
-        return cached
-
-    def _no_pattern(self, n: int) -> np.ndarray:
-        """Shared ``(n,)`` array of -1 pattern ids (merged frontiers)."""
-        cached = self._no_pattern_cache.get(n)
-        if cached is None:
-            cached = np.full(n, -1, np.int16)
-            self._no_pattern_cache[n] = cached
-        return cached
 
     def _triu(self, n: int) -> np.ndarray:
         """Shared strict upper-triangle mask (earlier-candidate pairs)."""
@@ -243,57 +426,22 @@ class VectorizedInsertionDp:
             self._triu_cache[n] = cached
         return cached
 
-    def _tiled_rows(
-        self, allowed: tuple[EdgePattern, ...], n_base: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Cached per-(pattern set, base count) constant rows, pre-tiled:
-        (pattern ids, up-side codes, added buffers, added nTSVs, base rows
-        for an identity selection)."""
-        key = (allowed, n_base)
-        cached = self._tiled_cache.get(key)
-        if cached is None:
-            ids_row, sides_row, bufs_row, ntsvs_row = self._pattern_rows(allowed)
-            cached = (
-                np.tile(ids_row, n_base),
-                np.tile(sides_row, n_base),
-                np.tile(bufs_row, n_base),
-                np.tile(ntsvs_row, n_base),
-                np.repeat(self._arange(n_base), len(allowed)),
-            )
-            self._tiled_cache[key] = cached
-        return cached
-
-    def _pattern_rows(
-        self, allowed: tuple[EdgePattern, ...]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Cached (ids, up-side codes, buffer counts, nTSV counts) rows."""
-        cached = self._pattern_consts.get(allowed)
-        if cached is None:
-            cached = (
-                np.asarray([_PATTERN_INDEX[p.name] for p in allowed], np.int16),
-                np.asarray([_SIDE_CODES[p.up_side] for p in allowed], np.int8),
-                np.asarray([p.buffer_count for p in allowed], np.int64),
-                np.asarray([p.ntsv_count for p in allowed], np.int64),
-            )
-            self._pattern_consts[allowed] = cached
-        return cached
-
     # ------------------------------------------------------------------ driver
     def run(
         self,
         dp_tree: DpTree,
         workers: int = 1,
         parallel_policy=None,
-    ) -> tuple[dict[int, CandidateFrontier], CandidateFrontier]:
+    ) -> tuple[FrontierStore, CandidateFrontier]:
         """Bottom-up generation: the pruned frontier of every DP node plus
         the combined root frontier (Steps 2 and the root part of Step 3).
 
         With ``workers > 1`` the DP ships disjoint bottom subtrees to a
         process pool first (each node's frontier depends only on its
         predecessors' frontiers, so a whole subtree evaluates without any
-        cross-subtree data) and finishes the remaining spine serially.  The
-        per-node arithmetic is byte-for-byte the serial code, so the result
-        is bit-identical at every worker count.
+        cross-subtree data) and finishes the remaining spine serially.  A
+        node's frontier does not depend on which other nodes share its level
+        pass, so the result is bit-identical at every worker count.
 
         The pool hops go through the fault-tolerant
         :func:`~repro.parallel.run_tasks` map under ``parallel_policy``
@@ -304,42 +452,23 @@ class VectorizedInsertionDp:
         """
         self.parallel_tasks = 0
         self.parallel_diagnostics = []
-        frontiers: dict[int, CandidateFrontier] = {}
+        store = FrontierStore()
         remaining = dp_tree.nodes
         if workers > 1:
             subtrees = self._partition_dp_subtrees(dp_tree, workers)
             if len(subtrees) >= 2:
-                frontiers.update(
-                    self._run_subtrees_parallel(
-                        subtrees,
-                        workers,
-                        policy=parallel_policy,
-                        diagnostics=self.parallel_diagnostics,
-                    )
+                shipped = self._run_subtrees_parallel(
+                    subtrees,
+                    workers,
+                    policy=parallel_policy,
+                    diagnostics=self.parallel_diagnostics,
                 )
+                for index, frontier in shipped.items():
+                    store.add(index, frontier)
                 self.parallel_tasks = len(subtrees)
-                remaining = [n for n in dp_tree.nodes if n.index not in frontiers]
-        for dp_node in remaining:
-            frontiers[dp_node.index] = self._generate(dp_node, frontiers)
-        return frontiers, self._root_frontier(dp_tree, frontiers)
-
-    def _generate(
-        self, dp_node: DpNode, frontiers: dict[int, CandidateFrontier]
-    ) -> CandidateFrontier:
-        """One DP node's pruned frontier (merge, insert, prune, relax)."""
-        merged = self._merge(dp_node, frontiers)
-        inserted = self._insert(dp_node, merged)
-        pruned = self._prune(inserted, max_capacitance=self.pdk.max_capacitance)
-        if pruned.size == 0:
-            # Mirror the object backend: retain unchecked candidates when
-            # even a buffer cannot legalise the load.
-            relaxed = self._insert(dp_node, merged, enforce_driver_load=False)
-            pruned = self._prune(relaxed)
-        if pruned.size == 0:  # pragma: no cover - relaxed set is non-empty
-            raise RuntimeError(
-                f"DP node {dp_node.name} has no feasible candidate solutions"
-            )
-        return pruned
+                remaining = [n for n in dp_tree.nodes if n.index not in store]
+        self._run_levels(remaining, store)
+        return store, self._root_frontier(dp_tree, store)
 
     # ------------------------------------------------------ subtree parallelism
     @staticmethod
@@ -521,7 +650,7 @@ class VectorizedInsertionDp:
     def realize(
         self,
         dp_tree: DpTree,
-        frontiers: dict[int, CandidateFrontier],
+        frontiers: FrontierStore,
         root_choice: np.ndarray,
         realize_pattern: Callable[[ClockTree, DpNode, EdgePattern], None],
     ) -> None:
@@ -536,259 +665,325 @@ class VectorizedInsertionDp:
         ]
         while stack:
             dp_node, i = stack.pop()
-            frontier = frontiers[dp_node.index]
-            pattern_id = int(frontier.pattern[i])
+            pattern_id, choices = frontiers.decision(dp_node.index, i)
             if pattern_id < 0:
                 raise RuntimeError(
                     f"top-down decision reached {dp_node.name} without a pattern"
                 )
             realize_pattern(dp_tree.clock_tree, dp_node, PATTERNS[pattern_id])
-            stack.extend(
-                (pred, int(c))
-                for pred, c in zip(dp_node.predecessors, frontier.choice[i])
-            )
+            stack.extend(zip(dp_node.predecessors, choices))
         # Pattern realisation rewrites wire sides directly on the nodes, which
         # the tree's edit log cannot see — record an unscoped change so that
         # incremental timing engines recompile instead of serving stale data.
         dp_tree.clock_tree.touch()
 
+    # ------------------------------------------------------------ level pass
+    def _run_levels(self, nodes: Sequence[DpNode], store: FrontierStore) -> None:
+        """Evaluate ``nodes`` (bottom-up order) one DP-tree height at a time.
+
+        A node's height is one more than its highest predecessor's; a
+        predecessor already in ``store`` (a shipped subtree's root) counts as
+        available, like a leaf's missing predecessors.
+        """
+        height: dict[int, int] = {}
+        levels: list[list[DpNode]] = []
+        for node in nodes:
+            level = 1 + max(
+                (height.get(p.index, -1) for p in node.predecessors), default=-1
+            )
+            height[node.index] = level
+            if level == len(levels):
+                levels.append([])
+            levels[level].append(node)
+        for level_nodes in levels:
+            self._run_level(level_nodes, store)
+
+    def _run_level(self, nodes: list[DpNode], store: FrontierStore) -> None:
+        """One height: merge, insert, prune and relax every node at once.
+
+        Segments are ordered leaves, chain nodes, then the rest by
+        predecessor count, so each kind of merge yields a contiguous run of
+        segments; a node's frontier does not depend on the order.
+        """
+        leaves = [n for n in nodes if n.is_leaf]
+        chains = [n for n in nodes if _is_chain(n)]
+        general = sorted(
+            (n for n in nodes if n.predecessors and not _is_chain(n)),
+            key=lambda n: len(n.predecessors),
+        )
+        ordered = leaves + chains + general
+        widths = [len(n.predecessors) for n in ordered]
+        width = max(widths)
+        parts: list[tuple[CandidateFrontier, np.ndarray]] = []
+        if leaves:
+            parts.append(self._leaf_rows(leaves))
+        if chains:
+            # Chain node: the merged frontier IS the predecessor's pruned
+            # frontier, value for value, and pruning is idempotent on an
+            # already-pruned, already-sorted set — skip it.
+            parts.append(self._gather(store, [n.predecessors[0] for n in chains]))
+        for _count, group in groupby(general, key=lambda n: len(n.predecessors)):
+            parts.append(self._merge(list(group), store))
+        merged = CandidateFrontier.concatenate(
+            [self._pad_choice(frontier, width) for frontier, _ in parts]
+        )
+        counts = np.concatenate([count for _, count in parts])
+        seg = np.repeat(np.arange(len(ordered)), counts)
+        lengths = np.asarray([n.length for n in ordered], float)
+        modes = np.asarray([_MODE_CODES[n.mode] for n in ordered], np.int64)
+
+        inserted, inserted_seg = self._insert(merged, seg, lengths, modes)
+        kept = self._prune(
+            inserted, inserted_seg, max_capacitance=self.pdk.max_capacitance
+        )
+        block = inserted.take(kept)
+        block_seg = inserted_seg[kept]
+        counts = np.bincount(block_seg, minlength=len(ordered))
+        if not counts.all():
+            # Mirror the object backend: retain unchecked candidates when
+            # even a buffer cannot legalise the load.
+            rows = np.nonzero(counts[seg] == 0)[0]
+            relaxed, relaxed_seg = self._insert(
+                merged.take(rows), seg[rows], lengths, modes, enforce_driver_load=False
+            )
+            kept = self._prune(relaxed, relaxed_seg)
+            block_seg = np.concatenate([block_seg, relaxed_seg[kept]])
+            order = np.argsort(block_seg, kind="stable")
+            block = CandidateFrontier.concatenate([block, relaxed.take(kept)])
+            block = block.take(order)
+            block_seg = block_seg[order]
+            counts = np.bincount(block_seg, minlength=len(ordered))
+            if not counts.all():
+                node = ordered[int(np.argmin(counts))]
+                raise RuntimeError(
+                    f"DP node {node.name} has no feasible candidate solutions"
+                )
+        store.add_block(block, [n.index for n in ordered], counts, widths)
+
+    @staticmethod
+    def _pad_choice(frontier: CandidateFrontier, width: int) -> CandidateFrontier:
+        """Widen the back-pointer matrix to the level's width (zero columns)."""
+        missing = width - frontier.choice.shape[1]
+        if missing == 0:
+            return frontier
+        padding = np.zeros((frontier.size, missing), np.int64)
+        choice = np.concatenate([frontier.choice, padding], axis=1)
+        return replace(frontier, choice=choice)
+
     # --------------------------------------------------------------- DP steps
-    def _leaf_base_columns(
-        self, dp_node: DpNode
+    def _base_columns(
+        self, nodes: list[DpNode]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(K, 1) columns of the node's static leaf-net base quantities."""
+        """(K, S) columns of the nodes' static leaf-net base quantities."""
         if self.corner_aware:
             return (
-                np.asarray(dp_node.corner_base_capacitance, float)[:, None],
-                np.asarray(dp_node.corner_base_max_delay, float)[:, None],
-                np.asarray(dp_node.corner_base_min_delay, float)[:, None],
+                np.asarray([n.corner_base_capacitance for n in nodes], float).T,
+                np.asarray([n.corner_base_max_delay for n in nodes], float).T,
+                np.asarray([n.corner_base_min_delay for n in nodes], float).T,
             )
         return (
-            np.asarray([[dp_node.base_capacitance]], float),
-            np.asarray([[dp_node.base_max_delay]], float),
-            np.asarray([[dp_node.base_min_delay]], float),
+            np.asarray([[n.base_capacitance for n in nodes]], float),
+            np.asarray([[n.base_max_delay for n in nodes]], float),
+            np.asarray([[n.base_min_delay for n in nodes]], float),
         )
+
+    def _leaf_rows(self, leaves: list[DpNode]) -> tuple[CandidateFrontier, np.ndarray]:
+        """Leaf DP nodes: one front-side candidate each, the leaf-net load."""
+        count = len(leaves)
+        base_cap, base_max, base_min = self._base_columns(leaves)
+        zeros = np.zeros(count, np.int64)
+        frontier = CandidateFrontier(
+            side=np.zeros(count, np.int8),
+            cap=base_cap,
+            max_delay=base_max,
+            min_delay=base_min,
+            buffers=zeros,
+            ntsvs=zeros,
+            pattern=np.full(count, -1, np.int16),
+            choice=np.empty((count, 0), np.int64),
+        )
+        return frontier, np.ones(count, np.int64)
+
+    def _gather(
+        self, store: FrontierStore, preds: list[DpNode]
+    ) -> tuple[CandidateFrontier, np.ndarray]:
+        """Concatenate the frontiers of ``preds`` (one segment each).
+
+        The back-pointer column holds each row's index within its own
+        predecessor frontier.  Returns the rows and the per-segment counts.
+        """
+        located = np.asarray([store.spans[p.index][:3] for p in preds], np.int64)
+        numbers, begins, ends = located[:, 0], located[:, 1], located[:, 2]
+        counts = ends - begins
+        local = np.arange(int(counts.sum())) - np.repeat(_starts(counts), counts)
+        source = local + np.repeat(begins, counts)
+        present = np.flatnonzero(np.bincount(numbers))
+        row_block = np.repeat(numbers, counts)
+        values: dict[str, np.ndarray] = {}
+        for number in present.tolist():
+            block = store.blocks[number]
+            at = slice(None)
+            if present.size > 1:
+                at = np.nonzero(row_block == number)[0]
+            for name in _GATHERED:
+                column = getattr(block, name)
+                if name not in values:
+                    shape = column.shape[:-1] + (local.size,)
+                    values[name] = np.empty(shape, column.dtype)
+                values[name][..., at] = column[..., source[at]]
+        frontier = CandidateFrontier(
+            **values,
+            pattern=np.full(local.size, -1, np.int16),
+            choice=local[:, None],
+        )
+        return frontier, counts
 
     def _merge(
-        self, dp_node: DpNode, frontiers: dict[int, CandidateFrontier]
-    ) -> CandidateFrontier:
-        """Broadcast cross-product merge at the node's downstream vertex."""
-        if dp_node.is_leaf:
-            base_cap, base_max, base_min = self._leaf_base_columns(dp_node)
-            return CandidateFrontier(
-                side=self._leaf_side,
-                cap=base_cap,
-                max_delay=base_max,
-                min_delay=base_min,
-                buffers=self._leaf_zeros,
-                ntsvs=self._leaf_zeros,
-                pattern=self._leaf_pattern,
-                choice=self._leaf_choice,
-            )
-
-        predecessors = dp_node.predecessors
-        first = frontiers[predecessors[0].index]
-        combo = CandidateFrontier(
-            side=first.side,
-            cap=first.cap,
-            max_delay=first.max_delay,
-            min_delay=first.min_delay,
-            buffers=first.buffers,
-            ntsvs=first.ntsvs,
-            pattern=self._no_pattern(first.size),
-            choice=self._arange(first.size)[:, None],
-        )
-        if (
-            len(predecessors) == 1
-            and dp_node.base_capacitance == 0.0
-            and not dp_node.has_direct_sinks
-        ):
-            # Chain node (a segmentation Steiner): the merged frontier IS the
-            # predecessor's pruned frontier, value for value, and pruning is
-            # idempotent on an already-pruned, already-sorted set — skip it.
-            return combo
-        for pred in predecessors[1:]:
-            frontier = frontiers[pred.index]
+        self, nodes: list[DpNode], store: FrontierStore
+    ) -> tuple[CandidateFrontier, np.ndarray]:
+        """Merge nodes with the same predecessor count at their downstream
+        vertices: ragged cross-products, static load, then a merge prune."""
+        combo, combo_counts = self._gather(store, [n.predecessors[0] for n in nodes])
+        segments = np.arange(len(nodes))
+        for j in range(1, len(nodes[0].predecessors)):
+            frontier, counts = self._gather(store, [n.predecessors[j] for n in nodes])
             # Row-major pair enumeration matches the object backend's nested
             # loop (combo-major, candidate-minor, side mismatches skipped).
-            ia, ib = np.nonzero(combo.side[:, None] == frontier.side[None, :])
-            if ia.size == 0:
+            pairs = combo_counts * counts
+            pair_seg = np.repeat(segments, pairs)
+            t = np.arange(pair_seg.size) - np.repeat(_starts(pairs), pairs)
+            per_row = counts[pair_seg]
+            ia = t // per_row
+            ib = t - ia * per_row
+            ia += _starts(combo_counts)[pair_seg]
+            rows = ib + _starts(counts)[pair_seg]
+            match = np.nonzero(combo.side[ia] == frontier.side[rows])[0]
+            ia, ib, rows, pair_seg = ia[match], ib[match], rows[match], pair_seg[match]
+            combo_counts = np.bincount(pair_seg, minlength=len(nodes))
+            if not combo_counts.all():
+                node = nodes[int(np.argmin(combo_counts))]
                 raise RuntimeError(
-                    f"DP node {dp_node.name}: predecessors have no "
+                    f"DP node {node.name}: predecessors have no "
                     "side-compatible candidate combination"
                 )
             combo = CandidateFrontier(
                 side=combo.side[ia],
-                cap=combo.cap[:, ia] + frontier.cap[:, ib],
-                max_delay=np.maximum(combo.max_delay[:, ia], frontier.max_delay[:, ib]),
-                min_delay=np.minimum(combo.min_delay[:, ia], frontier.min_delay[:, ib]),
-                buffers=combo.buffers[ia] + frontier.buffers[ib],
-                ntsvs=combo.ntsvs[ia] + frontier.ntsvs[ib],
-                pattern=self._no_pattern(ia.size),
-                choice=np.concatenate(
-                    [combo.choice[ia], ib[:, None].astype(np.int64)], axis=1
+                cap=combo.cap[:, ia] + frontier.cap[:, rows],
+                max_delay=np.maximum(
+                    combo.max_delay[:, ia], frontier.max_delay[:, rows]
                 ),
+                min_delay=np.minimum(
+                    combo.min_delay[:, ia], frontier.min_delay[:, rows]
+                ),
+                buffers=combo.buffers[ia] + frontier.buffers[rows],
+                ntsvs=combo.ntsvs[ia] + frontier.ntsvs[rows],
+                pattern=combo.pattern[ia],
+                choice=np.concatenate([combo.choice[ia], ib[:, None]], axis=1),
             )
+        seg = np.repeat(segments, combo_counts)
+        combo, seg = self._add_base(nodes, combo, seg)
+        kept = self._prune(combo, seg)
+        return combo.take(kept), np.bincount(seg[kept], minlength=len(nodes))
 
-        # Add the static load at the vertex (pin cap + direct leaf net).
-        # Chain nodes (no pin cap, no direct sinks) skip the arithmetic
-        # entirely: adding a zero base is the identity on positive floats.
-        side = combo.side
-        cap = combo.cap
-        max_delay = combo.max_delay
-        min_delay = combo.min_delay
-        buffers, ntsvs, choice = combo.buffers, combo.ntsvs, combo.choice
-        if dp_node.base_capacitance != 0.0 or dp_node.has_direct_sinks:
-            base_cap, base_max, base_min = self._leaf_base_columns(dp_node)
-            cap = cap + base_cap
-            if dp_node.has_direct_sinks:
-                keep = np.nonzero(side == SIDE_FRONT)[0]
-                if keep.size == 0:
+    def _add_base(
+        self, nodes: list[DpNode], combo: CandidateFrontier, seg: np.ndarray
+    ) -> tuple[CandidateFrontier, np.ndarray]:
+        """Add the static load at each vertex (pin cap + direct leaf net).
+
+        Nodes with no pin cap and no direct sinks skip the arithmetic
+        entirely, exactly like the object backend.
+        """
+        loaded = np.asarray(
+            [n.base_capacitance != 0.0 or n.has_direct_sinks for n in nodes]
+        )
+        if not loaded.any():
+            return combo, seg
+        base_cap, base_max, base_min = self._base_columns(nodes)
+        cap = np.where(loaded[seg], combo.cap + base_cap[:, seg], combo.cap)
+        combo = replace(combo, cap=cap)
+        direct = np.asarray([n.has_direct_sinks for n in nodes])
+        if direct.any():
+            # Leaf nets are front-side: a direct-sink vertex must be front.
+            keep = np.nonzero((combo.side == SIDE_FRONT) | ~direct[seg])[0]
+            if keep.size != combo.size:
+                combo, seg = combo.take(keep), seg[keep]
+                counts = np.bincount(seg, minlength=len(nodes))
+                if not counts.all():
+                    node = nodes[int(np.argmin(counts))]
                     raise RuntimeError(
-                        f"DP node {dp_node.name}: no merged candidate satisfies "
+                        f"DP node {node.name}: no merged candidate satisfies "
                         "the front-side leaf-net constraint"
                     )
-                if keep.size != side.size:
-                    side = side[keep]
-                    cap = cap[:, keep]
-                    max_delay = max_delay[:, keep]
-                    min_delay = min_delay[:, keep]
-                    buffers, ntsvs = buffers[keep], ntsvs[keep]
-                    choice = choice[keep]
-                max_delay = np.maximum(max_delay, base_max)
-                min_delay = np.minimum(min_delay, base_min)
-        merged = CandidateFrontier(
-            side=side,
-            cap=cap,
-            max_delay=max_delay,
-            min_delay=min_delay,
-            buffers=buffers,
-            ntsvs=ntsvs,
-            pattern=self._no_pattern(side.size),
-            choice=choice,
-        )
-        return self._prune(merged)
+            # max(x, -inf) and min(x, inf) are x: only direct-sink vertices
+            # see their leaf-net delays.
+            combo = replace(
+                combo,
+                max_delay=np.maximum(
+                    combo.max_delay, np.where(direct, base_max, -np.inf)[:, seg]
+                ),
+                min_delay=np.minimum(
+                    combo.min_delay, np.where(direct, base_min, np.inf)[:, seg]
+                ),
+            )
+        return combo, seg
 
     def _insert(
         self,
-        dp_node: DpNode,
         merged: CandidateFrontier,
+        seg: np.ndarray,
+        lengths: np.ndarray,
+        modes: np.ndarray,
         enforce_driver_load: bool = True,
-    ) -> CandidateFrontier:
+    ) -> tuple[CandidateFrontier, np.ndarray]:
         """Apply every allowed pattern to every merged candidate, batched.
 
-        A pruned frontier groups front-side candidates before back-side ones,
-        so processing the two side blocks in that order reproduces the object
-        backend's base-major / pattern-minor result order.
+        Each candidate expands by the patterns of its (segment mode,
+        down-side) key in P1..P6 order.  Merged frontiers list front-side
+        candidates before back-side ones, so the base-major / pattern-minor
+        result order is the object backend's.
         """
-        side = merged.side
-        any_back = bool(side.any())
-        all_back = any_back and bool(side.all())
-        parts: list[CandidateFrontier] = []
-        has_backside = self.pdk.has_backside
-        for side_enum, code in ((Side.FRONT, SIDE_FRONT), (Side.BACK, SIDE_BACK)):
-            if code == SIDE_FRONT and all_back:
-                continue
-            if code == SIDE_BACK and not any_back:
-                continue
-            allowed = patterns_for(
-                dp_node.mode, has_backside, required_down_side=side_enum
-            )
-            if not allowed:  # pragma: no cover - every reachable side has one
-                continue
-            if all_back or not any_back:  # single-side frontier (common case)
-                sel = self._arange(merged.size)
-                base_cap = merged.cap
-                base_max = merged.max_delay
-                base_min = merged.min_delay
-            else:
-                sel = np.nonzero(side == code)[0]
-                base_cap = merged.cap[:, sel]
-                base_max = merged.max_delay[:, sel]
-                base_min = merged.min_delay[:, sel]
-            parts.append(
-                self._insert_block(
-                    dp_node,
-                    merged,
-                    sel,
-                    base_cap,
-                    base_max,
-                    base_min,
-                    allowed,
-                    enforce_driver_load,
-                )
-            )
-        if not parts:  # pragma: no cover - defensive: merged is never empty
-            return merged.take(np.empty(0, np.int64))
-        return CandidateFrontier.concatenate(parts)
-
-    def _insert_block(
-        self,
-        dp_node: DpNode,
-        merged: CandidateFrontier,
-        sel: np.ndarray,
-        base_cap: np.ndarray,
-        base_max: np.ndarray,
-        base_min: np.ndarray,
-        allowed: tuple[EdgePattern, ...],
-        enforce_driver_load: bool,
-    ) -> CandidateFrontier:
-        """Batched pattern application for one side block of ``merged``."""
-        length = dp_node.length
-        delays, caps = [], []
+        key = modes[seg] * 2 + merged.side
+        count = self._expand_count[key]
+        base = np.repeat(np.arange(merged.size), count)
+        slot = np.arange(base.size) - np.repeat(_starts(count), count)
+        pattern = self._expand_ids[key[base], slot]
+        length = lengths[seg[base]][None, :]
+        base_cap = merged.cap[:, base]
+        delay = np.empty_like(base_cap)
+        cap = np.empty_like(base_cap)
         valid: np.ndarray | None = None
-        for pattern in allowed:
-            delay, cap, pattern_valid = self._pattern_cost_batch(
-                pattern, length, base_cap, enforce_driver_load
+        for pattern_id in np.nonzero(np.bincount(pattern, minlength=len(PATTERNS)))[0]:
+            rows = np.nonzero(pattern == pattern_id)[0]
+            delay[:, rows], cap[:, rows], pattern_valid = self._pattern_cost_batch(
+                PATTERNS[pattern_id],
+                length[:, rows],
+                base_cap[:, rows],
+                enforce_driver_load,
             )
-            delays.append(delay)
-            caps.append(cap)
             if pattern_valid is not None:
                 if valid is None:
-                    valid = np.ones((sel.size, len(allowed)), bool)
-                valid[:, len(delays) - 1] = pattern_valid
-        n_base, n_pat = sel.size, len(allowed)
-        delay_grid = np.stack(delays, axis=2)  # (K, B, P)
-        new_cap = np.stack(caps, axis=2).reshape(self._k, n_base * n_pat)
-        new_max = (base_max[:, :, None] + delay_grid).reshape(self._k, n_base * n_pat)
-        new_min = (base_min[:, :, None] + delay_grid).reshape(self._k, n_base * n_pat)
-        tiled = self._tiled_rows(allowed, n_base)
-        pattern_ids, up_sides, add_buffers, add_ntsvs, identity_rows = tiled
-        if sel is self._arange_cache.get(n_base):
-            base_rows = identity_rows
-        else:
-            base_rows = np.repeat(sel, n_pat)
-        buffers = merged.buffers[base_rows] + add_buffers
-        ntsvs = merged.ntsvs[base_rows] + add_ntsvs
-        choice = merged.choice[base_rows]
-        if valid is not None:
-            mask = valid.reshape(n_base * n_pat)  # (B, P) flat: base-major
-            if not mask.all():
-                return CandidateFrontier(
-                    side=up_sides[mask],
-                    cap=new_cap[:, mask],
-                    max_delay=new_max[:, mask],
-                    min_delay=new_min[:, mask],
-                    buffers=buffers[mask],
-                    ntsvs=ntsvs[mask],
-                    pattern=pattern_ids[mask],
-                    choice=choice[mask],
-                )
-        return CandidateFrontier(
-            side=up_sides,
-            cap=new_cap,
-            max_delay=new_max,
-            min_delay=new_min,
-            buffers=buffers,
-            ntsvs=ntsvs,
-            pattern=pattern_ids,
-            choice=choice,
+                    valid = np.ones(base.size, bool)
+                valid[rows] = pattern_valid
+        inserted = CandidateFrontier(
+            side=_PATTERN_UP_SIDE[pattern],
+            cap=cap,
+            max_delay=merged.max_delay[:, base] + delay,
+            min_delay=merged.min_delay[:, base] + delay,
+            buffers=merged.buffers[base] + _PATTERN_BUFFERS[pattern],
+            ntsvs=merged.ntsvs[base] + _PATTERN_NTSVS[pattern],
+            pattern=pattern,
+            choice=merged.choice[base],
         )
+        inserted_seg = seg[base]
+        if valid is not None and not valid.all():
+            keep = np.nonzero(valid)[0]
+            return inserted.take(keep), inserted_seg[keep]
+        return inserted, inserted_seg
 
     def _pattern_cost_batch(
         self,
         pattern: EdgePattern,
-        length: float,
+        length: np.ndarray,
         cap: np.ndarray,
         enforce_driver_load: bool,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -796,9 +991,10 @@ class VectorizedInsertionDp:
 
         Mirrors ``ConcurrentInserter._pattern_cost`` operation for operation
         (bit-identical element-wise arithmetic) with the candidate axis
-        vectorized and the corner axis broadcast.  The returned validity mask
-        is ``None`` unless the pattern can reject candidates (P1's maximum
-        driven-capacitance check, enforced at every corner).
+        vectorized (``length`` is a ``(1, n)`` per-candidate row) and the
+        corner axis broadcast.  The returned validity mask is ``None`` unless
+        the pattern can reject candidates (P1's maximum driven-capacitance
+        check, enforced at every corner).
         """
         name = pattern.name
         if name == "P2_Wiring_F":
@@ -813,9 +1009,7 @@ class VectorizedInsertionDp:
             cap = cap + self.f_uc * half
             valid = None
             if enforce_driver_load:
-                violating = (cap > self.max_cap + _TOL).any(axis=0)
-                if violating.any():
-                    valid = ~violating
+                valid = ~(cap > self.max_cap + _TOL).any(axis=0)
             delay = delay + self._buffer_delay(cap)
             cap = np.broadcast_to(self.buf_incap, cap.shape)
             delay = delay + self._wire_delay(self.f_ur, self.f_uc, half, cap)
@@ -841,7 +1035,7 @@ class VectorizedInsertionDp:
 
     @staticmethod
     def _wire_delay(
-        unit_r: np.ndarray, unit_c: np.ndarray, length: float, load: np.ndarray
+        unit_r: np.ndarray, unit_c: np.ndarray, length: np.ndarray, load: np.ndarray
     ) -> np.ndarray:
         """Batched ``LayerRC.wire_delay`` (same operation order)."""
         resistance = unit_r * length
@@ -862,257 +1056,232 @@ class VectorizedInsertionDp:
     def _prune(
         self,
         frontier: CandidateFrontier,
+        seg: np.ndarray,
         max_capacitance: float | None = None,
-    ) -> CandidateFrontier:
-        """Vectorized ``prune_per_side``: mask filter, per-side sweep, beam."""
-        n = frontier.size
-        if n == 0:
-            return frontier
+    ) -> np.ndarray:
+        """Segmented ``prune_per_side``: mask filter, per-side sweep, beam.
+
+        ``seg`` assigns every row to a segment (one DP node's candidate
+        set).  Returns the kept row indices ordered by segment, front side
+        before back side, each side in the object backend's sorted order.
+        """
         scalar = self._k == 1
         worst_cap = frontier.cap[0] if scalar else frontier.cap.max(axis=0)
-        if max_capacitance is not None:
-            legal = worst_cap <= max_capacitance + _TOL
-            if not legal.all():
-                keep = np.nonzero(legal)[0]
-                frontier = frontier.take(keep)
-                worst_cap = worst_cap[keep]
-                n = frontier.size
-                if n == 0:
-                    return frontier
-        if n == 1:
-            return frontier
-        side = frontier.side
-        any_back = bool(side.any())
-        all_back = any_back and bool(side.all())
+        if max_capacitance is None:
+            rows = np.arange(frontier.size)
+        else:
+            rows = np.nonzero(worst_cap <= max_capacitance + _TOL)[0]
+        if rows.size == 0:
+            return rows
         worst_delay = (
             frontier.max_delay[0] if scalar else frontier.max_delay.max(axis=0)
         )
         resources = frontier.buffers + frontier.ntsvs
-        beam = self.config.max_candidates_per_side
-        parts: list[np.ndarray] = []
-        for code in (SIDE_FRONT, SIDE_BACK):
-            if code == SIDE_FRONT and all_back:
-                continue
-            if code == SIDE_BACK and not any_back:
-                continue
-            if all_back or not any_back:
-                side_idx = self._arange(n)
-            else:
-                side_idx = np.nonzero(side == code)[0]
-            if side_idx.size == 1:
-                parts.append(side_idx)
-                continue
-            order = side_idx[
-                np.lexsort(
-                    (
-                        resources[side_idx],
-                        worst_delay[side_idx],
-                        worst_cap[side_idx],
-                    )
+        order = rows[
+            np.lexsort(
+                (
+                    resources[rows],
+                    worst_delay[rows],
+                    worst_cap[rows],
+                    frontier.side[rows],
+                    seg[rows],
                 )
-            ]
-            kept_pos = self._dominance_sweep(
-                frontier.cap[:, order],
-                frontier.max_delay[:, order],
-                resources[order],
-                self.config.keep_resource_diversity,
             )
-            kept = order[kept_pos]
-            if beam is not None and kept.size > beam:
-                kept = self._beam_select(kept, worst_delay, beam)
-            parts.append(kept)
-        if len(parts) == 1 and parts[0].size == n:
-            # Everything survived on a single side: still gather, because
-            # the object backend returns candidates in sorted order.
-            return frontier.take(parts[0])
-        return frontier.take(np.concatenate(parts))
+        ]
+        group_key = seg[order] * 2 + frontier.side[order]
+        is_start = np.empty(order.size, bool)
+        is_start[0] = True
+        np.not_equal(group_key[1:], group_key[:-1], out=is_start[1:])
+        gstart = np.nonzero(is_start)[0]
+        gsize = np.diff(np.append(gstart, order.size))
+        caps = frontier.cap[:, order]
+        delays = frontier.max_delay[:, order]
+        if self.config.keep_resource_diversity or not scalar:
+            keep = self._pairwise_sweep(caps, delays, resources[order], gstart, gsize)
+        else:
+            keep = self._staircase_sweep(delays[0], is_start, gstart, gsize)
+        kept = np.nonzero(keep)[0]
+        beam = self.config.max_candidates_per_side
+        if beam is not None:
+            group = np.cumsum(is_start) - 1
+            kept = self._beam_select(
+                kept, group[kept], gsize.size, worst_delay[order], beam
+            )
+        return order[kept]
 
-    def _dominance_sweep(
+    @staticmethod
+    def _staircase_sweep(
+        delays: np.ndarray,
+        is_start: np.ndarray,
+        gstart: np.ndarray,
+        gsize: np.ndarray,
+    ) -> np.ndarray:
+        """Scalar staircase over sorted groups: a keep mask.
+
+        Every true keeper is a strict running-min record of its group's delay
+        sequence (a dropped candidate's delay is always >= some earlier
+        delay), so a padded running minimum finds the records; a record is
+        then kept iff it beats the previous kept delay by more than the
+        tolerance.  When every record beats the previous *record* that way,
+        all records are kept; groups with a near-tie rerun the exact scan.
+        Single-candidate groups are kept as they are.
+        """
+        previous = np.full(delays.size, np.inf)
+        for _groups, rows, valid in _size_classes(gstart, gsize):
+            running = np.minimum.accumulate(
+                np.where(valid, delays[rows], np.inf), axis=1
+            )
+            later = valid[:, 1:]
+            previous[rows[:, 1:][later]] = running[:, :-1][later]
+        keep = is_start | (delays < previous)
+        records = np.nonzero(keep)[0]
+        values = delays[records]
+        best = np.empty_like(values)
+        best[0] = np.inf
+        best[1:] = values[:-1]
+        best[is_start[records]] = np.inf
+        beats = values < best - _TOL
+        if beats.all():
+            return keep
+        group = np.cumsum(is_start) - 1
+        for g in sorted(set(group[records[~beats]].tolist())):
+            if gsize[g] < 2:
+                continue
+            start, stop = int(gstart[g]), int(gstart[g] + gsize[g])
+            mine = records[(records >= start) & (records < stop)]
+            keep[start:stop] = False
+            best_value = float("inf")
+            for pos, value in zip(mine.tolist(), delays[mine].tolist()):
+                if value < best_value - _TOL:
+                    keep[pos] = True
+                    best_value = value
+        return keep
+
+    def _pairwise_sweep(
         self,
         caps: np.ndarray,
         delays: np.ndarray,
         resources: np.ndarray,
-        keep_resource_diversity: bool,
+        gstart: np.ndarray,
+        gsize: np.ndarray,
     ) -> np.ndarray:
-        """Positions kept by the dominance sweep over one sorted side block.
+        """Vector-dominance sweep (and the diversity rule) over sorted groups.
 
-        Implements exactly the rule of
-        :func:`repro.insertion.pruning.prune_dominated` (including the
-        dominator-relative resource-diversity exception) on ``(K, n)`` arrays
-        already gathered in sorted order.
+        Groups are compared in ``(G, L, L)`` tiles of at most
+        ``_PAIRWISE_LIMIT ** 2`` pairs.  Without the diversity rule the tile
+        decides almost every candidate at once: a candidate with an earlier
+        tolerance-free dominator is provably dropped by the kept-set rule (the
+        dominator is either kept, or its own kept dominator absorbs the single
+        tolerance hop), and a candidate with no earlier within-tolerance
+        dominator at all is trivially kept.  Groups with a candidate between
+        the two bounds (a near-tie in the 1e-9 band), and every group under
+        the diversity rule, run the exact sequential scan on the tile.
         """
-        if keep_resource_diversity:
-            return self._diversity_sweep(caps, delays, resources)
-        if caps.shape[0] == 1:
-            # Scalar staircase: every true keeper is a strict running-min
-            # record of the delay sequence (a dropped candidate's delay is
-            # always >= some earlier delay), so a cummin prefilter reduces
-            # the exact tolerance sweep to the record positions.
-            d = delays[0]
-            running = np.minimum.accumulate(d)
-            record = np.empty(d.size, dtype=bool)
-            record[0] = True
-            record[1:] = d[1:] < running[:-1]
-            positions = np.nonzero(record)[0]
-            kept: list[int] = []
-            best = float("inf")
-            for pos, value in zip(positions.tolist(), d[positions].tolist()):
-                if value < best - _TOL:
-                    kept.append(pos)
-                    best = value
-            return np.asarray(kept, np.int64)
-        return self._corner_sweep(caps, delays)
-
-    def _corner_sweep(self, caps: np.ndarray, delays: np.ndarray) -> np.ndarray:
-        """Vector-dominance sweep over a sorted corner-aware side block.
-
-        The pairwise broadcast decides almost every candidate in O(1) numpy
-        calls: a candidate with an earlier tolerance-free dominator is
-        provably dropped by the kept-set rule (the dominator is either kept,
-        or its own kept dominator absorbs the single tolerance hop), and a
-        candidate with no earlier within-tolerance dominator at all is
-        trivially kept.  Only candidates between the two bounds (near-ties
-        within the 1e-9 band) fall back to the exact sequential scan.
-        """
-        n = caps.shape[1]
-        if n > _PAIRWISE_LIMIT:
-            survivors = self._blocked_prefilter(caps, delays)
-            if survivors.size == n:  # pragma: no cover - degenerate fallback
-                return self._scan_sweep(caps, delays)
-            return survivors[self._corner_sweep(caps[:, survivors], delays[:, survivors])]
-        cap_t = caps[:, None, :]
-        del_t = delays[:, None, :]
-        dom0 = np.logical_and(
-            (caps[:, :, None] <= cap_t).all(axis=0),
-            (delays[:, :, None] <= del_t).all(axis=0),
-        )
-        domt = np.logical_and(
-            (caps[:, :, None] <= cap_t + _TOL).all(axis=0),
-            (delays[:, :, None] <= del_t + _TOL).all(axis=0),
-        )
-        triu = self._triu(n)
-        flag0 = (dom0 & triu).any(axis=0)
-        flagt = (domt & triu).any(axis=0)
-        if not (flagt & ~flag0).any():
-            return np.nonzero(~flagt)[0]
-        # Exact kept-set scan on the precomputed tolerance matrix.
-        rows = domt.tolist()
-        kept: list[int] = []
-        for j in range(n):
-            if any(rows[i][j] for i in kept):
+        diversity = self.config.keep_resource_diversity
+        keep = np.ones(caps.shape[1], bool)
+        budget = _PAIRWISE_LIMIT * _PAIRWISE_LIMIT
+        for groups, rows, valid in _size_classes(gstart, gsize, power=2):
+            width = rows.shape[1]
+            if width > _PAIRWISE_LIMIT:
+                for g in groups.tolist():
+                    start, stop = int(gstart[g]), int(gstart[g] + gsize[g])
+                    keep[start:stop] = False
+                    kept = self._large_group_keep(
+                        caps[:, start:stop],
+                        delays[:, start:stop],
+                        resources[start:stop],
+                    )
+                    keep[start + kept] = True
                 continue
-            kept.append(j)
-        return np.asarray(kept, np.int64)
+            step = max(1, budget // (width * width))
+            for first in range(0, len(groups), step):
+                tile = rows[first : first + step]
+                real = valid[first : first + step]
+                dominance = _dominance(caps[:, tile], delays[:, tile], _TOL)
+                if diversity:
+                    scan = range(len(tile))
+                else:
+                    earlier = self._triu(width)[None, :, :] & real[:, :, None]
+                    flag0 = (
+                        _dominance(caps[:, tile], delays[:, tile], None) & earlier
+                    ).any(axis=1)
+                    flagt = (dominance & earlier).any(axis=1)
+                    keep[tile[real]] = ~flagt[real]
+                    scan = np.nonzero((flagt & ~flag0 & real).any(axis=1))[0].tolist()
+                for i in scan:
+                    size = int(real[i].sum())
+                    members = tile[i, :size]
+                    kept = _sequential_keep(
+                        dominance[i, :size, :size].tolist(),
+                        resources[members].tolist() if diversity else None,
+                    )
+                    keep[members] = False
+                    keep[members[kept]] = True
+        return keep
 
-    def _blocked_prefilter(self, caps: np.ndarray, delays: np.ndarray) -> np.ndarray:
-        """Column-blocked tolerance-free prefilter for very large blocks."""
+    def _large_group_keep(
+        self, caps: np.ndarray, delays: np.ndarray, resources: np.ndarray
+    ) -> np.ndarray:
+        """Kept positions of one group past the pairwise bound.
+
+        Candidates with an earlier tolerance-free dominator are always
+        dropped (see :meth:`_pairwise_sweep`); a column-blocked test removes
+        them, and the exact scan decides the rest.
+        """
+        if self.config.keep_resource_diversity:
+            return _scan_keep(caps, delays, resources)
         n = caps.shape[1]
         earlier = np.zeros(n, dtype=bool)
         rows = np.arange(n)[:, None]
-        block = max(1, int(4_000_000 // max(1, n * caps.shape[0])))
+        block = max(1, _PAIRWISE_LIMIT * _PAIRWISE_LIMIT // n)
         for start in range(0, n, block):
             stop = min(start + block, n)
-            dominated = np.all(caps[:, :, None] <= caps[:, None, start:stop], axis=0)
-            dominated &= np.all(
-                delays[:, :, None] <= delays[:, None, start:stop], axis=0
-            )
+            dominated = _dominance(caps, delays, None, slice(start, stop))
             dominated &= rows < np.arange(start, stop)[None, :]
             earlier[start:stop] = dominated.any(axis=0)
-        return np.nonzero(~earlier)[0]
-
-    def _scan_sweep(
-        self, caps: np.ndarray, delays: np.ndarray
-    ) -> np.ndarray:  # pragma: no cover - degenerate fallback
-        """Per-candidate kept-set scan (no pairwise matrix)."""
-        kept: list[int] = []
-        for pos in range(caps.shape[1]):
-            if kept:
-                cols = np.asarray(kept)
-                dominated = np.all(
-                    caps[:, cols] <= caps[:, pos : pos + 1] + _TOL, axis=0
-                )
-                dominated &= np.all(
-                    delays[:, cols] <= delays[:, pos : pos + 1] + _TOL, axis=0
-                )
-                if dominated.any():
-                    continue
-            kept.append(pos)
-        return np.asarray(kept, np.int64)
-
-    def _diversity_sweep(
-        self, caps: np.ndarray, delays: np.ndarray, resources: np.ndarray
-    ) -> np.ndarray:
-        """The dominator-relative resource-diversity sweep (both K regimes).
-
-        Precomputes the pairwise within-tolerance dominance matrix, then runs
-        the exact sequential rule over plain Python lists — the kept set and
-        the dominator resource floors depend on scan order, but every
-        comparison is a precomputed boolean.
-        """
-        n = delays.shape[1]
-        if n > _PAIRWISE_LIMIT:
-            return self._diversity_scan(caps, delays, resources)
-        cap_t = caps[:, None, :]
-        del_t = delays[:, None, :]
-        domt = np.logical_and(
-            (caps[:, :, None] <= cap_t + _TOL).all(axis=0),
-            (delays[:, :, None] <= del_t + _TOL).all(axis=0),
-        )
-        rows = domt.tolist()
-        res = resources.tolist()
-        kept: list[int] = []
-        for j in range(n):
-            dominators = [i for i in kept if rows[i][j]]
-            if dominators:
-                floor = min(res[i] for i in dominators)
-                if res[j] >= floor:
-                    continue
-            kept.append(j)
-        return np.asarray(kept, np.int64)
-
-    def _diversity_scan(
-        self, caps: np.ndarray, delays: np.ndarray, resources: np.ndarray
-    ) -> np.ndarray:  # pragma: no cover - very large diversity blocks
-        """Per-candidate diversity scan for blocks past the pairwise limit."""
-        kept: list[int] = []
-        for pos in range(delays.shape[1]):
-            if kept:
-                cols = np.asarray(kept)
-                dominated = np.all(
-                    caps[:, cols] <= caps[:, pos : pos + 1] + _TOL, axis=0
-                )
-                dominated &= np.all(
-                    delays[:, cols] <= delays[:, pos : pos + 1] + _TOL, axis=0
-                )
-                if dominated.any():
-                    floor = int(resources[cols[dominated]].min())
-                    if int(resources[pos]) >= floor:
-                        continue
-            kept.append(pos)
-        return np.asarray(kept, np.int64)
+        survivors = np.nonzero(~earlier)[0]
+        return survivors[_scan_keep(caps[:, survivors], delays[:, survivors])]
 
     @staticmethod
     def _beam_select(
-        kept: np.ndarray, worst_delay: np.ndarray, beam_width: int
+        kept: np.ndarray,
+        group: np.ndarray,
+        groups: int,
+        worst_delay: np.ndarray,
+        beam_width: int,
     ) -> np.ndarray:
-        """Vectorized ``_beam_select``: sample the staircase evenly.
+        """Vectorized ``_beam_select``: sample each group's staircase evenly.
 
-        ``kept`` is already sorted by (worst cap, worst delay, resources),
+        ``kept`` (sorted positions, ``group`` their group numbers) is already
+        sorted by (worst cap, worst delay, resources) within each group,
         which the object backend's stable re-sort by (worst cap, worst delay)
-        leaves unchanged.
+        leaves unchanged.  Groups within the beam keep everything.
         """
+        sizes = np.bincount(group, minlength=groups)
+        over = np.nonzero(sizes > beam_width)[0]
+        if over.size == 0:
+            return kept
+        select = sizes[group] <= beam_width
+        starts = _starts(sizes)
         if beam_width <= 1:
-            first_min = int(np.argmin(worst_delay[kept]))
-            return kept[first_min : first_min + 1]
-        last = kept.size - 1
-        indices = sorted(
-            {round(i * last / (beam_width - 1)) for i in range(beam_width)}
-        )
-        return kept[np.asarray(indices, np.int64)]
+            for g in over.tolist():
+                start = int(starts[g])
+                members = kept[start : start + int(sizes[g])]
+                select[start + int(np.argmin(worst_delay[members]))] = True
+        else:
+            # round(i * last / (beam - 1)) with the object backend's
+            # round-half-even; the indices are distinct because each group
+            # holds more than beam_width candidates.
+            last = sizes[over] - 1
+            local = np.rint(
+                np.arange(beam_width)[None, :] * last[:, None] / (beam_width - 1)
+            ).astype(np.int64)
+            select[(starts[over][:, None] + local).ravel()] = True
+        return kept[select]
 
     # ------------------------------------------------------------------- root
     def _root_frontier(
-        self, dp_tree: DpTree, frontiers: dict[int, CandidateFrontier]
+        self, dp_tree: DpTree, frontiers: FrontierStore
     ) -> CandidateFrontier:
         """Cross-combine the root DP nodes at the clock source (front only)."""
         combo: CandidateFrontier | None = None
@@ -1175,8 +1344,8 @@ def _dp_subtree_worker(payload) -> dict[int, CandidateFrontier]:
     """Evaluate one shipped DP subtree in a worker process.
 
     Rebuilds an equivalent :class:`VectorizedInsertionDp` and the subtree's
-    nodes, then runs the exact serial per-node generation bottom-up.  The
-    returned frontiers are keyed by the original DP node indices.
+    nodes, then runs the same level pass as the serial DP.  The returned
+    frontiers are keyed by the original DP node indices.
     """
     pdk, config, corner_pdks, primary, corner_aware, tables = payload
     dp = VectorizedInsertionDp(
@@ -1186,10 +1355,9 @@ def _dp_subtree_worker(payload) -> dict[int, CandidateFrontier]:
         primary_index=primary,
         corner_aware=corner_aware,
     )
-    frontiers: dict[int, CandidateFrontier] = {}
-    for node in VectorizedInsertionDp._nodes_from_tables(tables):
-        frontiers[node.index] = dp._generate(node, frontiers)
-    return frontiers
+    store = FrontierStore()
+    dp._run_levels(VectorizedInsertionDp._nodes_from_tables(tables), store)
+    return dict(store.items())
 
 
 def _validate_subtree_frontiers(result, payload) -> None:

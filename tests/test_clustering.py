@@ -81,6 +81,55 @@ class TestKMeans:
         )
         assert sorted(all_members.tolist()) == list(range(len(pts)))
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_fit_bit_equal_to_per_cluster_means(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        if seed % 3 == 0:
+            # A coarse grid: duplicate points and empty clusters are common.
+            pts = rng.integers(0, 4, size=(n, 2)).astype(float) * 25.0
+        elif seed % 3 == 1:
+            # Unbalanced blobs.
+            sizes = rng.integers(1, 120, size=3)
+            pts = np.vstack(
+                [
+                    rng.normal(c * 80.0, 1.0 + c, size=(s, 2))
+                    for c, s in enumerate(sizes)
+                ]
+            )
+        else:
+            pts = rng.uniform(0.0, 500.0, size=(n, 2))
+        kmeans = KMeans(n_clusters=int(rng.integers(1, 13)), seed=seed)
+        result = kmeans.fit(pts)
+        labels, centroids = reference_fit(kmeans, pts)
+        assert np.array_equal(result.labels, labels)
+        assert result.centroids.tobytes() == centroids.tobytes()
+
+
+def reference_fit(kmeans, pts):
+    """Lloyd's iteration with per-cluster ``mean(axis=0)`` centroid updates
+    and the farthest-point reseed of empty clusters (the spec ``fit`` must
+    reproduce bit for bit)."""
+    k = min(kmeans.n_clusters, len(pts))
+    centroids = KMeans._kmeanspp_init(pts, k, np.random.default_rng(kmeans.seed))
+    labels = np.zeros(len(pts), dtype=int)
+    for _ in range(kmeans.max_iterations):
+        distances = KMeans._distances(pts, centroids)
+        labels = np.argmin(distances, axis=1)
+        new_centroids = centroids.copy()
+        for cluster in range(k):
+            members = pts[labels == cluster]
+            if len(members) > 0:
+                new_centroids[cluster] = members.mean(axis=0)
+            else:
+                farthest = int(np.argmax(np.min(distances, axis=1)))
+                new_centroids[cluster] = pts[farthest]
+        shift = float(np.max(np.abs(new_centroids - centroids)))
+        centroids = new_centroids
+        if shift < kmeans.tolerance:
+            break
+    return labels, centroids
+
 
 def make_sinks(count, extent=200.0, seed=0):
     rng = np.random.default_rng(seed)

@@ -45,6 +45,7 @@ from repro.guard.faults import (
     poke_nan_location,
     poke_negative_capacitance,
 )
+from repro.insertion.frontier import resolve_dp_backend
 from repro.netlist import ClockNet, ClockSink, ClockSource
 from repro.geometry import Point
 from repro.tech import CornerSet
@@ -138,6 +139,16 @@ class TestInputValidation:
         )
         assert any("wire_res_scale" in p for p in corner_problems(corners))
 
+    def test_corner_spec_strings(self, pdk):
+        # The flow accepts ``corners="tt,ss,ff"``; validation must resolve
+        # the spec like the flow does instead of iterating its characters.
+        assert corner_problems("tt,ss,ff") == []
+        validate_flow_inputs(small_net(), pdk, corners="tt,ss,ff")
+        problems = corner_problems("tt,bogus")
+        assert len(problems) == 1 and "bogus" in problems[0]
+        with pytest.raises(GuardError, match="bogus"):
+            validate_flow_inputs(small_net(), pdk, corners="tt,bogus")
+
     def test_validate_raises_guard_error_listing_all_problems(self, pdk):
         net = small_net()
         object.__setattr__(net.sinks[0], "capacitance", -1.0)
@@ -160,9 +171,13 @@ class TestInputValidation:
         # Same invalid input, no guard: the NaN capacitance flows into the
         # insertion DP and dies deep inside a kernel with an obscure error —
         # the before picture the "inputs" GuardError replaces.
+        # The reference DP's candidate constructor rejects the NaN load with
+        # a ValueError; the vectorized DP finds no feasible candidate.
         net = small_net()
         object.__setattr__(net.sinks[0], "capacitance", float("nan"))
-        with pytest.raises(RuntimeError) as err:
+        reference = resolve_dp_backend(None) == "reference"
+        expected = ValueError if reference else RuntimeError
+        with pytest.raises(expected) as err:
             run_guarded(pdk, net, guard="off")
         assert not isinstance(err.value, GuardError)
 

@@ -215,7 +215,14 @@ def test_concurrent_inserter_workers_identical_tree(pdk):
     trees = []
     for workers in (1, 4):
         routed = _route(pdk, clock_net, 1)
-        inserter = ConcurrentInserter(pdk, InsertionConfig(), workers=workers)
+        # The subtree-parallel DP and the design IR need the vectorized
+        # DP and timing backends, whatever the environment selects.
+        inserter = ConcurrentInserter(
+            pdk,
+            InsertionConfig(dp_backend="vectorized"),
+            engine="vectorized",
+            workers=workers,
+        )
         inserter.run(routed.design)
         trees.append(routed.design.to_clock_tree())
     assert clock_tree_fingerprint(trees[0]) == clock_tree_fingerprint(trees[1])
